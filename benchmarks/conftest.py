@@ -13,13 +13,11 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -35,19 +33,6 @@ def publish(results_dir):
     def _publish(name: str, text: str) -> None:
         (results_dir / f"{name}.txt").write_text(text + "\n")
         print(f"\n{text}\n")
-
-    return _publish
-
-
-@pytest.fixture
-def publish_json():
-    """Write a benchmark's machine-readable result as BENCH_<name>.json
-    at the repo root, where CI and regression tooling pick it up."""
-
-    def _publish(name: str, data: dict) -> None:
-        path = REPO_ROOT / f"BENCH_{name}.json"
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
 
     return _publish
 

@@ -22,7 +22,6 @@ from repro.core.tiling import TilePlan, choose_tile_shape
 from repro.sunway.config import CoreGroupConfig
 from repro.sunway.corerates import CoreRates
 from repro.sunway.dma import DMAEngine, DMAVolume
-from repro.sunway.fastmath import exp_flops
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,7 +198,3 @@ class SunwayCostModel:
         if task.kernel_cost is None:
             return 0
         return patch.num_cells * task.kernel_cost.flops_per_cell(self.fast_exp)
-
-    def exp_flops_per_call(self) -> int:
-        """Flop cost per exponential under this variant's library."""
-        return exp_flops(self.fast_exp)

@@ -2,8 +2,8 @@
 
 One scheduler implementation (:class:`~repro.core.schedulers.scheduler.
 SunwayScheduler`) supports the three operating modes of paper Sec. V-C,
-each resolved at construction to an executor backend
-(:mod:`~repro.core.schedulers.backends`):
+chosen with its ``mode`` keyword and resolved at construction to an
+executor backend (:mod:`~repro.core.schedulers.backends`):
 
 * ``"async"`` — the contribution: offload a kernel to the CPE cluster and
   *return immediately*, overlapping kernel execution with MPI progress,
@@ -14,11 +14,11 @@ each resolved at construction to an executor backend
 * ``"mpe_only"`` — execute kernels on the MPE without offloading
   (variant ``host.sync``).
 
-:class:`AsyncScheduler`, :class:`SyncScheduler` and
-:class:`MPEOnlyScheduler` are convenience subclasses pinning the mode.
-The layered machinery underneath — lifecycle events, the communication
-and offload engines, selection strategies — is documented in
-``docs/ARCHITECTURE.md``.
+The baseline :class:`~repro.core.schedulers.unified.UnifiedHostScheduler`
+(Uintah's Unified Scheduler) shares the same trunk and communication
+engine.  The layered machinery underneath — lifecycle events, the
+communication and offload engines, selection strategies — is documented
+in ``docs/ARCHITECTURE.md``.
 """
 
 from repro.core.schedulers.base import (
@@ -29,7 +29,6 @@ from repro.core.schedulers.base import (
     StepContext,
 )
 from repro.core.schedulers.lifecycle import TaskLifecycle, TaskState
-from repro.core.schedulers.modes import AsyncScheduler, MPEOnlyScheduler, SyncScheduler
 from repro.core.schedulers.scheduler import SunwayScheduler
 from repro.core.schedulers.selection import POLICIES, SelectionPolicy, make_policy
 
@@ -40,9 +39,6 @@ __all__ = [
     "SchedulerCore",
     "StepContext",
     "SunwayScheduler",
-    "AsyncScheduler",
-    "SyncScheduler",
-    "MPEOnlyScheduler",
     "TaskLifecycle",
     "TaskState",
     "SelectionPolicy",

@@ -8,11 +8,13 @@ lives behind :class:`ExecutorBackend`:
   (the paper's ``async`` mode, MPE work overlaps the kernel) or blocking
   (``sync`` mode, the MPE spins on the completion flag);
 * :class:`MPEBackend` — run kernels on the management core itself
-  (``mpe_only`` mode);
-* :class:`HostThreadPoolBackend` — a pool of simulated host worker
-  threads draining one shared run queue, modelling Uintah's Unified
-  Scheduler for :class:`~repro.core.schedulers.unified.
-  UnifiedHostScheduler`.
+  (``mpe_only`` mode).
+
+Beside them, :class:`HostThreadPoolBackend` is a pool of simulated host
+worker threads draining one shared run queue of tasks and
+:class:`~repro.core.schedulers.commengine.CommEngine` items, modelling
+Uintah's Unified Scheduler for :class:`~repro.core.schedulers.unified.
+UnifiedHostScheduler`.
 
 No ``mode`` string crosses this boundary: schedulers resolve the mode to
 a backend object once, at construction.
@@ -121,9 +123,6 @@ class HostThreadPoolBackend:
         if num_threads < 1:
             raise ValueError(f"need >= 1 worker thread, got {num_threads}")
         self.num_threads = num_threads
-
-    def num_groups(self, athread) -> int:
-        return self.num_threads
 
     def start_step(self, sim, rank: int) -> "WorkerPool":
         return WorkerPool(sim, rank, self.num_threads)

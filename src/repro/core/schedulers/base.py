@@ -283,6 +283,24 @@ class SchedulerCore:
             next_tag_base=(step + 1) * graph.num_tags,
         )
 
+    def finish_task(self, st: StepContext, comm, dt) -> None:
+        """Retire a completed task: queue its sends and copies on the
+        :class:`~repro.core.schedulers.commengine.CommEngine`, release
+        its dependents, and count its old-DW reads for scrubbing."""
+        self.lifecycle.retire(dt)
+        st.remaining.discard(dt.dt_id)
+        comm.flush_stash(dt)
+        for spec in self.graph.sends_after(dt):
+            comm.queue_send(spec)
+        for spec in self.graph.copies_after(dt):
+            comm.queue_copy(spec)
+        for dep in self.graph.dependents_of(dt):
+            st.tracker.release(dep.dt_id)
+        if dt.patch is not None:
+            for dep in dt.task.requires:
+                if dep.dw == "old" and not dep.label.is_reduction:
+                    comm.consume_old(dep.label.name, dt.patch.patch_id)
+
     def _ctx(self, patch, st: StepContext) -> TaskContext:
         return TaskContext(
             grid=self.graph.grid,

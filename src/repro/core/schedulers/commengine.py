@@ -1,19 +1,23 @@
 """Communication engine: MPI recvs, ghost pack/send/unpack, copies,
 reductions, and old-DW scrub accounting.
 
-One :class:`CommEngine` lives for one timestep (paper steps 3a, 3c, 3d).
-It owns the MPE work queue of communication items — local ghost copies,
-pack+send, unpack — posts the step's non-blocking receives, watches
-pending allreduces, and performs the data-warehouse effects when an item
-executes.  The scheduler charges the MPE time (through ``sched._mpe``)
-and asks the engine to apply the effects; all bookkeeping lands on the
-lifecycle bus (``msg-sent`` / ``msg-recv`` / ``local-copy`` /
-``reduction`` / ``scrubbed`` events), never directly on the stats.
+One :class:`CommEngine` lives for one timestep (paper steps 3a, 3c, 3d)
+and serves both scheduler families.  It costs the communication work
+items — local ghost copies, pack+send, unpack — and hands them to a work
+sink: the Sunway MPE loop's own queue (:attr:`CommEngine.work`) or the
+unified scheduler's worker-pool run queue.  It also posts the step's
+non-blocking receives, watches pending allreduces, and performs the
+data-warehouse effects when an item executes.  The scheduler charges
+the item's time on whichever core runs it and then calls
+:meth:`CommEngine.apply`; all bookkeeping lands on the lifecycle bus
+(``msg-sent`` / ``msg-recv`` / ``local-copy`` / ``reduction`` /
+``scrubbed`` events), never directly on the stats.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import typing as _t
 
 from repro.core.schedulers.lifecycle import TaskState
@@ -24,11 +28,14 @@ from repro.core.taskgraph import CopySpec, MessageSpec
 class CommEngine:
     """Per-timestep communication state and effects for one rank."""
 
-    def __init__(self, sched, st):
+    def __init__(self, sched, st, sink: _t.Callable[[tuple], None] | None = None):
         self.sched = sched
         self.st = st
         #: MPE work queue: (kind, payload, cost) items.
         self.work: collections.deque = collections.deque()
+        #: Where queued items go: :attr:`work` unless the scheduler
+        #: drains its own run queue.
+        self._push = self.work.append if sink is None else sink
         #: Ghost slabs whose destination patch has no producer output yet.
         self.pending_unpacks: dict[tuple[str, str, int], list] = {}
         #: Posted receives not yet harvested: (spec, request).
@@ -44,7 +51,7 @@ class CommEngine:
 
     # ------------------------------------------------------------ queueing
     def queue_copy(self, spec: CopySpec) -> None:
-        self.work.append(("copy", spec, self.sched.costs.pack_time(spec.ncells, remote=False)))
+        self._push(("copy", spec, self.sched.costs.pack_time(spec.ncells, remote=False)))
 
     def queue_send(self, spec: MessageSpec, from_bootstrap: bool = False) -> None:
         # cross-step slabs produced now are consumed next step; at
@@ -53,14 +60,14 @@ class CommEngine:
         cost = self.sched.costs.pack_time(spec.region.num_cells, remote=True)
         cost += self.sched.costs.sched.send_post
         if spec.cross_step and not from_bootstrap:
-            self.work.append(("send", (spec, st.next_tag_base, "new"), cost))
+            self._push(("send", (spec, st.next_tag_base, "new"), cost))
         else:
             src_dw = "old" if spec.cross_step else spec.dw
-            self.work.append(("send", (spec, st.tag_base, src_dw), cost))
+            self._push(("send", (spec, st.tag_base, src_dw), cost))
 
     def queue_unpack(self, spec: MessageSpec, payload) -> None:
         cost = self.sched.costs.pack_time(spec.region.num_cells, remote=True)
-        self.work.append(("unpack", (spec, payload), cost))
+        self._push(("unpack", (spec, payload), cost))
 
     def queue_startup(self) -> None:
         """Startup sends and copies: old-DW ghost data (and bootstrap)."""
@@ -206,19 +213,20 @@ class CommEngine:
             self.apply_unpack(*payload)
 
     # ------------------------------------------------------------ reductions
+    def local_partial(self, dt: DetailedTask) -> float:
+        """Fold a reduction task's value over this rank's patches."""
+        sched = self.sched
+        if not sched.real or dt.task.action is None:
+            return 0.0
+        values = [dt.task.action(sched._ctx(p, self.st)) for p in sched._local_patches]
+        return functools.reduce(dt.task.reduction_op, values) if values else 0.0
+
     def start_reduction(self, dt: DetailedTask) -> _t.Generator:
         """Combine local patch values and post the allreduce (step 3d)."""
-        sched, st = self.sched, self.st
+        sched = self.sched
         sched.lifecycle.transition(dt, TaskState.DISPATCHED)
         sched.lifecycle.transition(dt, TaskState.RUNNING)
-        partial = 0.0
-        if sched.real and dt.task.action is not None:
-            values = [
-                dt.task.action(sched._ctx(p, st)) for p in sched._local_patches
-            ]
-            partial = values[0] if values else 0.0
-            for v in values[1:]:
-                partial = dt.task.reduction_op(partial, v)
+        partial = self.local_partial(dt)
         yield from sched._mpe(
             f"reduce-local:{dt.name}",
             sched.costs.reduction_local_time(len(sched._local_patches)),

@@ -124,10 +124,6 @@ class TaskLifecycle:
         for fn in self._subs:
             fn(ev)
 
-    def state_of(self, dt) -> TaskState | None:
-        """Current state of one task (None when not registered)."""
-        return self._state.get(dt.dt_id)
-
     def transition(self, dt, state: TaskState, **info) -> None:
         """Move ``dt`` to ``state``, validating legality, and announce."""
         cur = self._state.get(dt.dt_id)

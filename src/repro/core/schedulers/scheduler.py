@@ -115,22 +115,6 @@ class SunwayScheduler(SchedulerCore):
         ctx = self._ctx(dt.patch, st)
         return lambda: dt.task.action(ctx)
 
-    def finish_task(self, st: StepContext, comm: CommEngine, dt: DetailedTask) -> None:
-        """Retire a completed task: publish effects, release dependents."""
-        self.lifecycle.retire(dt)
-        st.remaining.discard(dt.dt_id)
-        comm.flush_stash(dt)
-        for spec in self.graph.sends_after(dt):
-            comm.queue_send(spec)
-        for spec in self.graph.copies_after(dt):
-            comm.queue_copy(spec)
-        for dep in self.graph.dependents_of(dt):
-            st.tracker.release(dep.dt_id)
-        if dt.patch is not None:
-            for dep in dt.task.requires:
-                if dep.dw == "old" and not dep.label.is_reduction:
-                    comm.consume_old(dep.label.name, dt.patch.patch_id)
-
     def _run_mpe_task(self, st, comm, nxt: DetailedTask) -> _t.Generator:
         """(3d) small MPE-kind task: select, prepare, execute, finish."""
         self.lifecycle.transition(nxt, TaskState.DISPATCHED)

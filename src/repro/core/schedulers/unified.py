@@ -13,10 +13,13 @@ This module models that scheduler so the claim is measurable: a
 :class:`~repro.core.schedulers.backends.HostThreadPoolBackend` pool of
 ``num_threads`` host worker threads executes ready tasks *and*
 interleaved communication work (ghost packing/unpacking, sends, local
-copies, reductions) from one shared run queue.  With several threads,
-communication hides behind computation; with the single thread Sunway's
-MPE affords, everything serializes — and the CPE cluster sits unused,
-because the Unified Scheduler predates the offload design.
+copies, reductions) from one shared run queue.  The communication units
+come from the same :class:`~repro.core.schedulers.commengine.CommEngine`
+the Sunway scheduler uses, with the pool's run queue as its work sink.
+With several threads, communication hides behind computation; with the
+single thread Sunway's MPE affords, everything serializes — and the CPE
+cluster sits unused, because the Unified Scheduler predates the offload
+design.
 
 :class:`UnifiedHostScheduler` composes
 :class:`~repro.core.schedulers.base.SchedulerCore` with that backend —
@@ -32,9 +35,9 @@ from __future__ import annotations
 from repro.core.datawarehouse import DataWarehouse
 from repro.core.schedulers.backends import HostThreadPoolBackend
 from repro.core.schedulers.base import DeadlockError, SchedulerCore
+from repro.core.schedulers.commengine import CommEngine
 from repro.core.schedulers.lifecycle import TaskState
 from repro.core.task import DetailedTask, TaskKind
-from repro.core.taskgraph import CopySpec, MessageSpec
 
 
 class UnifiedHostScheduler(SchedulerCore):
@@ -43,12 +46,13 @@ class UnifiedHostScheduler(SchedulerCore):
     Parameters are those of :class:`SchedulerCore` plus ``num_threads``
     — the host cores available to worker threads.  On SW26010 that is 1
     (the MPE); Uintah's production machines give it 16-64.  The ``mode``
-    argument is ignored: this scheduler has exactly one behaviour,
-    Uintah's.
+    and ``scrub`` arguments are ignored: this scheduler has exactly one
+    behaviour, Uintah's.
     """
 
     def __init__(self, *args, num_threads: int = 1, **kwargs):
         kwargs["mode"] = "mpe_only"  # kernels run on host cores
+        kwargs["scrub"] = False  # Uintah's scheduler keeps the old DW whole
         super().__init__(*args, **kwargs)
         self.backend = HostThreadPoolBackend(num_threads)
 
@@ -87,6 +91,8 @@ class UnifiedHostScheduler(SchedulerCore):
 
     # The Unified Scheduler replaces the whole per-timestep loop: the
     # worker pool drains one run queue of tasks and communication units.
+    # The CommEngine costs and applies the communication units exactly
+    # as it does for the Sunway MPE loop; only the queue differs.
     def execute_timestep(
         self,
         step: int,
@@ -100,50 +106,29 @@ class UnifiedHostScheduler(SchedulerCore):
         st = self._begin_step(step, time, dt_value, old_dw, new_dw, bootstrap)
         tracker = st.tracker
         pool = self.backend.start_step(sim, rank)
-        send_reqs: list = []
+        comm = CommEngine(self, st, sink=pool.push)
 
-        # -- unit builders -------------------------------------------------
         def push_ready_tasks() -> None:
             while tracker.any_ready:
                 dt = tracker.ready.pop(0)
                 self.lifecycle.transition(dt, TaskState.DISPATCHED, backend="host")
-                pool.push(("task", dt))
-
-        def push_send(spec: MessageSpec, from_bootstrap: bool = False) -> None:
-            if spec.cross_step and not from_bootstrap:
-                pool.push(("send", spec, st.next_tag_base, "new"))
-            else:
-                pool.push(("send", spec, st.tag_base, "old" if spec.cross_step else spec.dw))
+                pool.push(("task", dt, None))
 
         def finish_task(dt: DetailedTask) -> None:
-            self.lifecycle.retire(dt)
-            st.remaining.discard(dt.dt_id)
-            for spec in graph.sends_after(dt):
-                push_send(spec)
-            for spec in graph.copies_after(dt):
-                pool.push(("copy", spec))
-            for dep in graph.dependents_of(dt):
-                tracker.release(dep.dt_id)
+            self.finish_task(st, comm, dt)
             push_ready_tasks()
             pool.maybe_finish(not st.remaining)
 
-        # -- communication watchers (event-driven, zero host cost) ---------
-        def recv_watcher(spec: MessageSpec, req):
-            payload = yield req.event
-            pool.push(("unpack", spec, payload))
+        # -- receive watchers (event-driven, zero host cost) ---------------
+        def recv_watcher(spec, req):
+            comm.queue_unpack(spec, (yield req.event))
 
-        my_recvs = [m for d in st.local for m in graph.recvs_for(d)]
-        for spec in my_recvs:
-            req = self.comm.irecv(source=spec.from_rank, tag=st.tag_base + spec.tag)
-            sim.process(recv_watcher(spec, req), name=f"recvw-r{rank}")
+        for d in st.local:
+            for spec in graph.recvs_for(d):
+                req = self.comm.irecv(source=spec.from_rank, tag=st.tag_base + spec.tag)
+                sim.process(recv_watcher(spec, req), name=f"recvw-r{rank}")
 
-        for spec in graph.startup_sends(rank):
-            push_send(spec)
-        if bootstrap:
-            for spec in graph.bootstrap_sends(rank):
-                push_send(spec, from_bootstrap=True)
-        for spec in graph.startup_copies(rank):
-            pool.push(("copy", spec))
+        comm.queue_startup()
         self._carryover_sends = [r for r in self._carryover_sends if not r.complete]
         push_ready_tasks()
 
@@ -161,24 +146,17 @@ class UnifiedHostScheduler(SchedulerCore):
                 TaskState.RUNNING,
                 backend="mpe" if task.kind is TaskKind.CPE_KERNEL else None,
             )
-            yield from thread_mpe(tid, "select", self.costs.sched.task_select)
+            yield from thread_mpe(tid, "task-select", self.costs.sched.task_select)
             mpe_cost = self.costs.mpe_part_time(task, dt.patch, graph.grid)
             if mpe_cost > 0:
                 if self.real and task.mpe_action is not None:
                     task.mpe_action(self._ctx(dt.patch, st))
                 yield from thread_mpe(tid, f"mpe-part:{dt.name}", mpe_cost)
             if task.kind is TaskKind.REDUCTION:
-                partial = 0.0
-                if self.real and task.action is not None:
-                    vals = [
-                        task.action(self._ctx(p, st)) for p in self._local_patches
-                    ]
-                    partial = vals[0] if vals else 0.0
-                    for v in vals[1:]:
-                        partial = task.reduction_op(partial, v)
+                partial = comm.local_partial(dt)
                 yield from thread_mpe(
                     tid,
-                    f"reduce:{dt.name}",
+                    f"reduce-local:{dt.name}",
                     self.costs.reduction_local_time(len(self._local_patches)),
                 )
                 req = self.comm.iallreduce(partial, op=task.reduction_op)
@@ -200,61 +178,16 @@ class UnifiedHostScheduler(SchedulerCore):
                 cost += self._host_fault_overhead(dt, cost)
             else:
                 cost = self.costs.mpe_task_time(task, dt.patch)
-            yield from thread_mpe(tid, f"kernel:{dt.name}", cost)
+            yield from thread_mpe(tid, f"mpe-kernel:{dt.name}", cost)
             finish_task(dt)
 
         def handle_unit(tid: int, unit):
-            kind = unit[0]
+            kind, payload, cost = unit
             if kind == "task":
-                yield from execute_task(tid, unit[1])
-            elif kind == "copy":
-                spec: CopySpec = unit[1]
-                yield from thread_mpe(tid, "copy", self.costs.pack_time(spec.ncells, remote=False))
-                self.lifecycle.emit("local-copy", spec.consumer)
-                if self.real:
-                    dw = st.dw_for(spec.dw)
-                    dw.get(spec.label, spec.to_patch).set_region(
-                        spec.region,
-                        dw.get(spec.label, spec.from_patch).get_region(spec.region),
-                    )
-                tracker.release(spec.consumer.dt_id)
-                push_ready_tasks()
-            elif kind == "send":
-                spec, tagb, src_dw = unit[1], unit[2], unit[3]
-                yield from thread_mpe(
-                    tid,
-                    "pack-send",
-                    self.costs.pack_time(spec.region.num_cells, remote=True)
-                    + self.costs.sched.send_post,
-                )
-                payload = None
-                if self.real:
-                    payload = (
-                        st.dw_for(src_dw)
-                        .get(spec.label, spec.from_patch)
-                        .get_region(spec.region)
-                    )
-                req = self.comm.isend(
-                    dest=spec.to_rank,
-                    tag=tagb + spec.tag,
-                    nbytes=spec.nbytes,
-                    payload=payload,
-                )
-                dest = self._carryover_sends if tagb == st.next_tag_base else send_reqs
-                dest.append(req)
-                self.lifecycle.emit("msg-sent", nbytes=spec.nbytes)
-            elif kind == "unpack":
-                spec, payload = unit[1], unit[2]
-                yield from thread_mpe(
-                    tid,
-                    "unpack",
-                    self.costs.pack_time(spec.region.num_cells, remote=True),
-                )
-                self.lifecycle.emit("msg-recv", spec.consumer, nbytes=spec.nbytes)
-                if self.real:
-                    dw = st.dw_for(spec.dw)
-                    dw.get(spec.label, spec.to_patch).set_region(spec.region, payload)
-                tracker.release(spec.consumer.dt_id)
+                yield from execute_task(tid, payload)
+            else:
+                yield from thread_mpe(tid, kind, cost)
+                comm.apply(kind, payload)
                 push_ready_tasks()
 
         pool.spawn_workers(handle_unit, lambda: not st.remaining)
@@ -269,6 +202,8 @@ class UnifiedHostScheduler(SchedulerCore):
                 f"{len(st.remaining)} tasks stuck"
             )
         pool.shutdown()
-        unfinished = [r for r in send_reqs if not r.complete]
+        # drain this step's sends; unlike CommEngine.drain_sends this
+        # records no idle time, which counts a blocked MPE loop
+        unfinished = [r for r in comm.send_reqs if not r.complete]
         if unfinished:
             yield sim.all_of([r.event for r in unfinished])

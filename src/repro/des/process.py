@@ -78,7 +78,6 @@ class Process(Event):
             return
         self._waiting_on = None
         sim = self.sim
-        sim._active_process = self
         try:
             if trigger._ok:
                 target = self._generator.send(trigger._value)
@@ -86,18 +85,15 @@ class Process(Event):
                 trigger._defused = True
                 target = self._generator.throw(_t.cast(BaseException, trigger._value))
         except StopIteration as stop:
-            sim._active_process = None
             self._ok = True
             self._value = stop.value
             sim._schedule(self, 0.0)
             return
         except BaseException as exc:
-            sim._active_process = None
             self._ok = False
             self._value = exc
             sim._schedule(self, 0.0)
             return
-        sim._active_process = None
         if not isinstance(target, Event):
             raise TypeError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Event objects"

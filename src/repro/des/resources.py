@@ -1,11 +1,7 @@
-"""Contended-capacity primitives built on the event kernel.
+"""Queueing primitive built on the event kernel.
 
-Two primitives cover everything the Sunway model needs:
-
-* :class:`Resource` — N interchangeable slots (e.g. the CPE cluster viewed
-  as one offload engine, or a DMA channel).
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``
-  (e.g. a rank's incoming-message queue in the simulated MPI fabric).
+:class:`Store` is an unbounded FIFO of items with blocking ``get`` (e.g.
+the unified scheduler's run queue of tasks and communication units).
 """
 
 from __future__ import annotations
@@ -17,71 +13,6 @@ from repro.des.event import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.des.simulator import Simulator
-
-
-class Request(Event):
-    """Event representing a pending slot acquisition on a :class:`Resource`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim, name=f"request:{resource.name}")
-        self.resource = resource
-
-    def release(self) -> None:
-        """Give the slot back (only valid once the request has fired)."""
-        self.resource.release(self)
-
-
-class Resource:
-    """``capacity`` interchangeable slots, granted in FIFO order.
-
-    Usage from a process::
-
-        req = resource.request()
-        yield req
-        ...  # hold the slot
-        req.release()
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "resource"):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._holders: set[Request] = set()
-        self._waiting: collections.deque[Request] = collections.deque()
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._holders)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
-
-    def request(self) -> Request:
-        """Ask for a slot; the returned event fires when granted."""
-        req = Request(self)
-        if len(self._holders) < self.capacity:
-            self._holders.add(req)
-            req.succeed(req)
-        else:
-            self._waiting.append(req)
-        return req
-
-    def release(self, req: Request) -> None:
-        """Return a previously-granted slot."""
-        if req not in self._holders:
-            raise RuntimeError(f"{req!r} does not hold a slot on {self.name!r}")
-        self._holders.remove(req)
-        if self._waiting:
-            nxt = self._waiting.popleft()
-            self._holders.add(nxt)
-            nxt.succeed(nxt)
 
 
 class Store:

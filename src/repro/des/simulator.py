@@ -38,18 +38,12 @@ class Simulator:
         self._now = float(start_time)
         self._queue: list[tuple[float, int, object]] = []
         self._seq = 0
-        self._active_process: Process | None = None
 
     # -- clock ---------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event factories -------------------------------------------------
     def event(self, name: str | None = None) -> Event:

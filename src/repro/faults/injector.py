@@ -278,10 +278,6 @@ class FaultInjector:
             self._record(float("nan"), "rank_failure", f"r{rank}@step{global_step}")
             raise RankFailure(rank, global_step)
 
-    def disarm_failure(self) -> None:
-        """Prevent further rank failures (the one-shot fault fired)."""
-        self._failure_armed = False
-
     # -- accounting --------------------------------------------------------
     def _record(self, now: float, kind: str, site: str) -> None:
         self.injected.append(InjectedFault(now, kind, site))

@@ -74,26 +74,6 @@ class ProblemSetting:
         return [c for c in CG_COUNTS if c >= self.min_cgs]
 
 
-def _double_round_robin() -> list[ProblemSetting]:
-    """Generate Table III's suite by the paper's doubling rule."""
-    out = []
-    px, py, pz = 16, 16, 512
-    axis = 1  # first doubling applies to y (16x16 -> 16x32)
-    while True:
-        p = ProblemSetting((px, py, pz))
-        if p.memory_bytes > 128 * USABLE_BYTES_PER_CG * 2:  # beyond the suite
-            break
-        out.append(p)
-        if axis == 1:
-            py *= 2
-        else:
-            px *= 2
-        axis ^= 1
-        if px > 128 or py > 128:
-            break
-    return out
-
-
 #: The seven problems of Table III, smallest to largest.
 PROBLEMS: tuple[ProblemSetting, ...] = tuple(
     ProblemSetting(pe)

@@ -48,9 +48,6 @@ class RunTelemetry:
     def begin_step(self, rank: int) -> None:
         self._cur_step[rank] = self._cur_step.get(rank, 0) + 1
 
-    def current_step(self, rank: int) -> int:
-        return self._cur_step.get(rank, 0)
-
     def bump(self, rank: int, key: str, n=1) -> None:
         """Add ``n`` to ``key`` in rank's current-step bucket."""
         bkey = (rank, self._cur_step.get(rank, 0))

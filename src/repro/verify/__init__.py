@@ -30,7 +30,6 @@ from repro.verify.differential import (
     run_differential,
 )
 from repro.verify.invariants import CATALOG, Invariant, VerificationError, Violation
-from repro.verify.replay import EventRecorder, RecordedEvent, replay
 from repro.verify.validator import ScheduleValidator
 
 __all__ = [
@@ -38,9 +37,7 @@ __all__ = [
     "CaseResult",
     "DEFAULT_MODES",
     "DEFAULT_SEEDS",
-    "EventRecorder",
     "Invariant",
-    "RecordedEvent",
     "ReproBundle",
     "ScheduleValidator",
     "VerificationError",
@@ -50,7 +47,6 @@ __all__ = [
     "fault_config_for",
     "fields_identical",
     "fields_of",
-    "replay",
     "run_case",
     "run_differential",
 ]

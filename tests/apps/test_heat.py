@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.apps.heat import HeatProblem, heat_exact
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
 from repro.core.patch import Region
+from tests.apps.heat import HeatProblem, heat_exact
 
 
 def run_heat(extent=(16, 16, 16), layout=(2, 2, 2), num_ranks=2, nsteps=5,

@@ -6,6 +6,9 @@ mode does not, results are identical either way, and failures surface as
 errors instead of hangs.
 """
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -13,17 +16,20 @@ from repro.burgers import BurgersProblem, solution_errors
 from repro.core.controller import SimulationController
 from repro.core.costs import SunwayCostModel
 from repro.core.grid import Grid
-from repro.core.schedulers import (
-    AsyncScheduler,
-    MPEOnlyScheduler,
-    SyncScheduler,
-    SunwayScheduler,
-)
+from repro.core.schedulers import SunwayScheduler
+from repro.core.schedulers.backends import CPEBackend, MPEBackend
 from repro.core.schedulers.base import DeadlockError
 from repro.core.task import Task, TaskKind
 from repro.core.taskgraph import TaskGraph
 from repro.core.varlabel import VarLabel
+from repro.harness import calibration
+from repro.harness.problems import problem_by_name
 from repro.sunway.corerates import KernelCost
+
+OVERHEAD_BASELINE = (
+    pathlib.Path(__file__).resolve().parents[2]
+    / "benchmarks" / "results" / "scheduler_overhead_baseline.json"
+)
 
 
 def run_burgers(num_ranks=2, mode="async", nsteps=3, extent=(16, 16, 16),
@@ -57,10 +63,8 @@ def test_results_identical_across_modes_and_ranks():
             assert np.array_equal(ref[pid], got[pid]), (num_ranks, mode, pid)
 
 
-def test_mode_subclasses_pin_modes():
-    assert AsyncScheduler.__mro__[1] is SunwayScheduler
+def test_mode_keyword_selects_backend():
     grid, prob, res = run_burgers(1, "async", nsteps=1)
-    # constructing via subclasses
     from repro.des import Simulator
     from repro.simmpi import Fabric, Comm
     from repro.sunway.athread import AthreadRuntime
@@ -71,9 +75,16 @@ def test_mode_subclasses_pin_modes():
     assignment = LoadBalancer().assign(grid, 1)
     graph = TaskGraph(grid, prob.tasks(), assignment, 1)
     args = (sim, 0, graph, Comm(fabric, 0), AthreadRuntime(sim), SunwayCostModel())
-    assert AsyncScheduler(*args).mode == "async"
-    assert SyncScheduler(*args).mode == "sync"
-    assert MPEOnlyScheduler(*args).mode == "mpe_only"
+    for mode, backend, blocking in [
+        ("async", CPEBackend, False),
+        ("sync", CPEBackend, True),
+        ("mpe_only", MPEBackend, None),
+    ]:
+        sched = SunwayScheduler(*args, mode=mode)
+        assert sched.mode == mode
+        assert type(sched.backend) is backend
+        assert getattr(sched.backend, "blocking", None) is blocking
+    assert SunwayScheduler(*args).mode == "async"
     with pytest.raises(ValueError):
         SunwayScheduler(*args, mode="warp")
 
@@ -279,3 +290,20 @@ def test_solution_error_small_and_decreasing_with_resolution():
         res = ctl.run(nsteps=4, dt=dt)
         errs[n] = solution_errors(grid, res.final_dws, prob.u_label, t=res.sim_time)
     assert errs[16]["l2"] < errs[8]["l2"]
+
+
+def test_model_mode_reproduces_recorded_overhead_baseline():
+    """Model-mode 16x16x512, async, 8 CGs charges exactly the simulated
+    seconds recorded with the host-overhead baseline (perfbench's
+    baseline cell reads the same file)."""
+    baseline = json.loads(OVERHEAD_BASELINE.read_text())
+    grid = problem_by_name("16x16x512").grid()
+    burgers = BurgersProblem(grid)
+    res = SimulationController(
+        grid, burgers.tasks(), burgers.init_tasks(),
+        num_ranks=8, mode="async", real=False,
+        cost_model=calibration.cost_model(),
+        fabric_config=calibration.FABRIC,
+        scheduler_kwargs=calibration.scheduler_kwargs(),
+    ).run(nsteps=baseline["nsteps"], dt=1e-5)
+    assert res.total_time == baseline["simulated_seconds"]

@@ -11,6 +11,7 @@ from repro.core.grid import Grid
 from repro.core.schedulers.unified import UnifiedHostScheduler
 from repro.harness import calibration
 from repro.harness.problems import problem_by_name
+from repro.telemetry.analyzer import categorize
 
 
 def run_unified(num_threads, num_ranks=2, nsteps=3, extent=(16, 16, 16),
@@ -66,6 +67,14 @@ def test_single_thread_never_overlaps_itself():
     res = run_unified(1, trace=True)
     lanes = {s.lane for s in res.trace.spans}
     assert lanes <= {"thread0"}
+
+
+def test_thread_spans_use_the_sunway_span_vocabulary():
+    """Every worker-thread span lands in a named accounting category."""
+    res = run_unified(2, trace=True)
+    names = {s.name for s in res.trace.spans if s.lane.startswith("thread")}
+    assert {"send", "unpack", "copy"} <= names
+    assert [n for n in names if categorize(n) == "other"] == []
 
 
 def test_reductions_complete():

@@ -1,72 +1,6 @@
-"""Unit tests for Resource and Store primitives."""
+"""Unit tests for the Store primitive."""
 
-import pytest
-
-from repro.des import Simulator, Resource, Store
-
-
-def test_resource_grants_up_to_capacity_immediately():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    grants = []
-
-    def proc(sim, res, tag):
-        req = res.request()
-        yield req
-        grants.append((tag, sim.now))
-        yield sim.timeout(1)
-        req.release()
-
-    for tag in ("a", "b", "c"):
-        sim.process(proc(sim, res, tag))
-    sim.run()
-    assert grants == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_fifo_queue():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def proc(sim, res, tag, hold):
-        req = res.request()
-        yield req
-        order.append(tag)
-        yield sim.timeout(hold)
-        req.release()
-
-    for tag in range(5):
-        sim.process(proc(sim, res, tag, hold=1))
-    sim.run()
-    assert order == [0, 1, 2, 3, 4]
-
-
-def test_resource_counts():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    assert res.count == 1 and res.queue_length == 1
-    sim.run()
-    r1.release()
-    assert res.count == 1 and res.queue_length == 0
-    r2.release()
-    assert res.count == 0
-
-
-def test_release_without_hold_is_error():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    res.request()
-    stranger = res.request()  # queued, not granted
-    with pytest.raises(RuntimeError):
-        res.release(stranger)
-
-
-def test_capacity_must_be_positive():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
+from repro.des import Simulator, Store
 
 
 def test_store_put_then_get():

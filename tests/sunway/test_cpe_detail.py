@@ -12,8 +12,8 @@ from repro.burgers.flops import BURGERS_KERNEL_COST
 from repro.core.tiling import TilePlan
 from repro.harness import calibration
 from repro.sunway.corerates import CoreRates, KernelCost, TileWork
-from repro.sunway.cpe_detail import simulate_cluster
 from repro.sunway.dma import DMAEngine
+from tests.sunway.cpe_detail import simulate_cluster
 
 
 def paper_plan(pe=(32, 32, 512)):

@@ -13,7 +13,7 @@ import pytest
 from repro.burgers import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
-from repro.verify import EventRecorder
+from tests.verify.replay import EventRecorder
 
 
 @dataclasses.dataclass

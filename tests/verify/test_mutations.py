@@ -11,7 +11,8 @@ where the corruption is surgical enough to guarantee that).
 import pytest
 
 from repro.core.schedulers.lifecycle import TaskState
-from repro.verify import ReproBundle, ScheduleValidator, replay
+from repro.verify import ReproBundle, ScheduleValidator
+from tests.verify.replay import replay
 
 
 def _replayed(run, events, **validator_kwargs):
