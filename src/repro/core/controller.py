@@ -64,6 +64,9 @@ class RunResult:
     #: ``r``'s simulated time at the end of step ``s`` (index 0 = barrier
     #: release).  The telemetry ledger clips trace spans to these windows.
     rank_step_ends: list[list[float]] | None = None
+    #: DES events this ``run()`` processed (init graph included), counted
+    #: by the simulator itself.
+    des_events: int = 0
 
     @property
     def gflops(self) -> float:
@@ -338,6 +341,7 @@ class SimulationController:
             final_dws[rank] = old
 
         procs = [sim.process(driver(r), name=f"rank{r}") for r in range(R)]
+        events_before = sim.events_run
         sim.run(until=sim.all_of(procs))
 
         t_start = max(start_time)
@@ -378,4 +382,5 @@ class SimulationController:
             trace=self.trace,
             sim_time=t0 + (start_step + nsteps) * dt,
             rank_step_ends=step_end,
+            des_events=sim.events_run - events_before,
         )

@@ -71,6 +71,7 @@ class SunwayCostModel:
         self._plan_cache: dict[tuple, TilePlan] = {}
         self._kernel_time_cache: dict[tuple, float] = {}
         self._dma_volume_cache: dict[tuple, DMAVolume] = {}
+        self._mpe_part_cache: dict[tuple, float] = {}
 
     # -- tiling --------------------------------------------------------------
     def tile_plan(self, task: Task, patch: Patch) -> TilePlan:
@@ -153,11 +154,17 @@ class SunwayCostModel:
         """
         if patch is None or task.mpe_action is None:
             return 0.0
-        cells = sum(
-            patch.ghost_region(axis, side).num_cells
-            for axis, side in grid.boundary_faces(patch)
-        )
-        return cells * self.sched.bc_s_per_cell
+        # Depends only on the patch extent and which of its faces lie on
+        # the domain boundary, so cache per (task, extent, faces).
+        faces = tuple(grid.boundary_faces(patch))
+        key = (task.name, patch.extent, faces)
+        cached = self._mpe_part_cache.get(key)
+        if cached is not None:
+            return cached
+        cells = sum(patch.ghost_region(axis, side).num_cells for axis, side in faces)
+        t = cells * self.sched.bc_s_per_cell
+        self._mpe_part_cache[key] = t
+        return t
 
     # -- communication-side MPE work ----------------------------------------------
     def pack_time(self, ncells: int, remote: bool) -> float:

@@ -45,6 +45,55 @@ class Grid:
                 )
             if self.domain_high[axis] <= self.domain_low[axis]:
                 raise ValueError("domain_high must exceed domain_low")
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        """Build the patch list and per-patch face tables, once per grid.
+
+        The grid is immutable, so its geometry is too: every accessor
+        below reads these tables instead of building ``Patch``/``Region``
+        objects per call.  They are plain attributes, not dataclass
+        fields, so equality, hashing and ``repr`` see only the
+        constructor arguments.
+        """
+        px, py, pz = self.layout
+        ex = self.patch_extent
+        patches = []
+        for iz in range(pz):
+            for iy in range(py):
+                for ix in range(px):
+                    low = (ix * ex[0], iy * ex[1], iz * ex[2])
+                    high = (low[0] + ex[0], low[1] + ex[1], low[2] + ex[2])
+                    patches.append(Patch(len(patches), (ix, iy, iz), Region(low, high)))
+        # per patch, one entry per FACES slot: the neighbour or None
+        neighbors: list[tuple[Patch | None, ...]] = []
+        for p in patches:
+            row = []
+            for axis, side in FACES:
+                idx = list(p.index)
+                idx[axis] += side
+                if 0 <= idx[axis] < self.layout[axis]:
+                    ix, iy, iz = idx
+                    row.append(patches[(iz * py + iy) * px + ix])
+                else:
+                    row.append(None)
+            neighbors.append(tuple(row))
+        set_ = object.__setattr__  # frozen dataclass
+        set_(self, "_patches", tuple(patches))
+        set_(self, "_neighbors", tuple(neighbors))
+        set_(
+            self,
+            "_face_neighbors",
+            tuple(
+                tuple((axis, side, nb) for (axis, side), nb in zip(FACES, row) if nb is not None)
+                for row in neighbors
+            ),
+        )
+        set_(
+            self,
+            "_boundary_faces",
+            tuple(tuple(face for face, nb in zip(FACES, row) if nb is None) for row in neighbors),
+        )
 
     # -- geometry -------------------------------------------------------------
     @property
@@ -89,45 +138,28 @@ class Grid:
 
     def patch(self, index: tuple[int, int, int]) -> Patch:
         """The patch at layout coordinates ``index``."""
-        ex = self.patch_extent
-        low = tuple(index[a] * ex[a] for a in range(3))
-        high = tuple(low[a] + ex[a] for a in range(3))
-        return Patch(self.patch_index_to_id(index), index, Region(low, high))  # type: ignore[arg-type]
+        return self._patches[self.patch_index_to_id(index)]
 
     def patches(self) -> list[Patch]:
-        """All patches, ordered by patch id."""
-        px, py, pz = self.layout
-        return [
-            self.patch((ix, iy, iz))
-            for iz in range(pz)
-            for iy in range(py)
-            for ix in range(px)
-        ]
+        """All patches, ordered by patch id (a fresh list each call)."""
+        return list(self._patches)
 
     def neighbor(self, patch: Patch, axis: int, side: int) -> Patch | None:
-        """The face neighbour of ``patch``, or None at the domain boundary."""
-        idx = list(patch.index)
-        idx[axis] += side
-        if not 0 <= idx[axis] < self.layout[axis]:
-            return None
-        return self.patch(tuple(idx))  # type: ignore[arg-type]
+        """The face neighbour of ``patch``, or None at the domain boundary.
+
+        ``side`` is -1 (low face) or +1 (high face).
+        """
+        if side not in (-1, 1):
+            raise ValueError(f"side must be -1 or +1, got {side!r}")
+        return self._neighbors[patch.patch_id][2 * axis + (side > 0)]
 
     def face_neighbors(self, patch: Patch) -> list[tuple[int, int, Patch]]:
         """All existing face neighbours as ``(axis, side, neighbor)``."""
-        out = []
-        for axis, side in FACES:
-            nb = self.neighbor(patch, axis, side)
-            if nb is not None:
-                out.append((axis, side, nb))
-        return out
+        return list(self._face_neighbors[patch.patch_id])
 
     def boundary_faces(self, patch: Patch) -> list[tuple[int, int]]:
         """Faces of ``patch`` lying on the physical domain boundary."""
-        return [
-            (axis, side)
-            for axis, side in FACES
-            if self.neighbor(patch, axis, side) is None
-        ]
+        return list(self._boundary_faces[patch.patch_id])
 
     # -- bookkeeping used by the harness ------------------------------------------
     def memory_bytes(self, fields: int = 2, ghosts: int = 1, itemsize: int = 8) -> int:

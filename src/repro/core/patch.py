@@ -29,22 +29,19 @@ class Region:
 
     low: tuple[int, int, int]
     high: tuple[int, int, int]
+    #: Cells per axis (derived from ``low``/``high`` at construction).
+    extent: tuple[int, int, int] = dataclasses.field(init=False, repr=False, compare=False)
+    #: Total cells in the region.
+    num_cells: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for axis in range(3):
-            if self.low[axis] > self.high[axis]:
-                raise ValueError(f"inverted region on axis {axis}: {self.low} .. {self.high}")
-
-    @property
-    def extent(self) -> tuple[int, int, int]:
-        """Cells per axis."""
-        return tuple(h - l for l, h in zip(self.low, self.high))  # type: ignore[return-value]
-
-    @property
-    def num_cells(self) -> int:
-        """Total cells in the region."""
-        ex, ey, ez = self.extent
-        return ex * ey * ez
+        low, high = self.low, self.high
+        ex = (high[0] - low[0], high[1] - low[1], high[2] - low[2])
+        if ex[0] < 0 or ex[1] < 0 or ex[2] < 0:
+            axis = min(a for a in range(3) if ex[a] < 0)
+            raise ValueError(f"inverted region on axis {axis}: {low} .. {high}")
+        object.__setattr__(self, "extent", ex)  # frozen dataclass
+        object.__setattr__(self, "num_cells", ex[0] * ex[1] * ex[2])
 
     @property
     def empty(self) -> bool:

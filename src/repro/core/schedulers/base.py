@@ -207,9 +207,7 @@ class SchedulerCore:
         self.interference = (
             interference_simd if getattr(cost_model, "simd", False) else interference_scalar
         )
-        self._local_patches = [
-            p for p in graph.grid.patches() if graph.assignment[p.patch_id] == rank
-        ]
+        self._local_patches = graph.local_patches(rank)
         #: Cross-step sends still in flight from previous timesteps.
         self._carryover_sends: list = []
         #: Fault injector and resilience policy (both optional; the
@@ -231,9 +229,8 @@ class SchedulerCore:
         #: governor observe the run through it (never hand-threaded).
         #: Inert observers are not subscribed at all — a disabled tracer
         #: or absent resilience policy must not tax every event.
-        self.lifecycle = TaskLifecycle(clock=sim)
+        self.lifecycle = TaskLifecycle(StatsSubscriber(self.stats), clock=sim)
         self.retry_governor = RetryGovernor(resilience)
-        self.lifecycle.subscribe(StatsSubscriber(self.stats))
         if self.trace.enabled:
             self.lifecycle.subscribe(TraceSubscriber(self.trace, rank))
         if resilience is not None:

@@ -46,7 +46,7 @@ class CommEngine:
         self.send_reqs: list = []
         #: Old-DW variables die after their last consumer reads them.
         self.scrub_counts: dict[tuple[str, int], int] = (
-            dict(sched.graph.old_dw_consumers(sched.rank)) if sched.scrub else {}
+            sched.graph.old_dw_consumers(sched.rank) if sched.scrub else {}
         )
 
     # ------------------------------------------------------------ queueing
@@ -89,7 +89,7 @@ class CommEngine:
     def post_recvs(self) -> _t.Generator:
         """Post non-blocking receives for every remote input (step 3a)."""
         sched, st = self.sched, self.st
-        my_recvs = [m for d in st.local for m in sched.graph.recvs_for(d)]
+        my_recvs = sched.graph.recvs_on(sched.rank)
         if my_recvs:
             yield from sched._mpe("post-recvs", sched.costs.sched.recv_post * len(my_recvs))
             for spec in my_recvs:

@@ -94,13 +94,17 @@ class _ZeroClock:
 class TaskLifecycle:
     """Per-scheduler state machine; reset at every timestep boundary.
 
-    ``clock`` is anything with a ``.now`` attribute (normally the DES
-    simulator).  The subscriber loop is inlined into :meth:`transition`
-    and :meth:`emit` — this sits inside the hottest scheduler path, and
+    ``stats`` is the :class:`StatsSubscriber` every scheduler has; it is
+    held apart from the subscribers and called first, with no
+    :class:`LifecycleEvent` built for it.  ``clock`` is anything with a
+    ``.now`` attribute (normally the DES simulator).  The subscriber loop
+    is inlined into :meth:`transition` and :meth:`emit`, and skipped when
+    nobody subscribed — this sits inside the hottest scheduler path, and
     every event fires tens of thousands of times per run.
     """
 
-    def __init__(self, clock=None):
+    def __init__(self, stats: StatsSubscriber, clock=None):
+        self._stats = stats
         self._clock = clock if clock is not None else _ZeroClock
         self._subs: list[_t.Callable[[LifecycleEvent], None]] = []
         self._state: dict[int, TaskState] = {}
@@ -132,9 +136,11 @@ class TaskLifecycle:
         if state not in _ALLOWED[cur]:
             raise IllegalTransition(f"{dt.name}: illegal transition {cur.name} -> {state.name}")
         self._state[dt.dt_id] = state
-        ev = LifecycleEvent("transition", dt, state, self._clock.now, info)
-        for fn in self._subs:
-            fn(ev)
+        self._stats.on_transition(state, info)
+        if self._subs:
+            ev = LifecycleEvent("transition", dt, state, self._clock.now, info)
+            for fn in self._subs:
+                fn(ev)
 
     def retire(self, dt, **info) -> None:
         """Finish a task: RETIRING (unless already there) then DONE."""
@@ -144,9 +150,11 @@ class TaskLifecycle:
 
     def emit(self, kind: str, dt=None, **info) -> None:
         """Announce a named (non-transition) runtime event."""
-        ev = LifecycleEvent(kind, dt, None, self._clock.now, info)
-        for fn in self._subs:
-            fn(ev)
+        self._stats.on_event(kind, info)
+        if self._subs:
+            ev = LifecycleEvent(kind, dt, None, self._clock.now, info)
+            for fn in self._subs:
+                fn(ev)
 
 
 class StatsSubscriber:
@@ -154,37 +162,41 @@ class StatsSubscriber:
 
     This is the single place mapping runtime happenings to the paper's
     counters; schedulers and engines never touch the stats object.
+    :class:`TaskLifecycle` calls it directly on every transition and
+    named event, ahead of the subscribers.
     """
 
     def __init__(self, stats):
         self.stats = stats
 
-    def __call__(self, ev: LifecycleEvent) -> None:
+    def on_transition(self, state: TaskState, info: dict) -> None:
+        """Fold one state transition."""
         s = self.stats
-        kind = ev.kind
-        if kind == "transition":
-            state, info = ev.state, ev.info
-            if state is TaskState.DONE:
-                s.tasks_run += 1
-            elif state is TaskState.RUNNING:
-                backend = info.get("backend")
-                if backend == "cpe":
-                    if info.get("retry"):
-                        s.kernel_retries += 1
-                    else:
-                        s.kernels_offloaded += 1
-                elif backend == "mpe":
-                    s.kernels_on_mpe += 1
-                elif backend == "mpe_fallback":
-                    s.mpe_fallbacks += 1
-                    s.kernels_on_mpe += 1
-            elif state is TaskState.READY and info.get("retry"):
-                s.kernel_retries += 1
-            elif state is TaskState.FAILED and info.get("cause") == "timeout":
-                s.kernel_timeouts += 1
-        elif kind == "msg-sent":
+        if state is TaskState.DONE:
+            s.tasks_run += 1
+        elif state is TaskState.RUNNING:
+            backend = info.get("backend")
+            if backend == "cpe":
+                if info.get("retry"):
+                    s.kernel_retries += 1
+                else:
+                    s.kernels_offloaded += 1
+            elif backend == "mpe":
+                s.kernels_on_mpe += 1
+            elif backend == "mpe_fallback":
+                s.mpe_fallbacks += 1
+                s.kernels_on_mpe += 1
+        elif state is TaskState.READY and info.get("retry"):
+            s.kernel_retries += 1
+        elif state is TaskState.FAILED and info.get("cause") == "timeout":
+            s.kernel_timeouts += 1
+
+    def on_event(self, kind: str, info: dict) -> None:
+        """Fold one named (non-transition) event."""
+        s = self.stats
+        if kind == "msg-sent":
             s.messages_sent += 1
-            s.bytes_sent += ev.info["nbytes"]
+            s.bytes_sent += info["nbytes"]
         elif kind == "msg-recv":
             s.messages_received += 1
         elif kind == "local-copy":
@@ -194,11 +206,11 @@ class StatsSubscriber:
         elif kind == "scrubbed":
             s.scrubbed += 1
         elif kind == "flops":
-            s.kernel_flops += ev.info["n"]
+            s.kernel_flops += info["n"]
         elif kind == "idle":
-            s.idle_wait += ev.info["seconds"]
+            s.idle_wait += info["seconds"]
         elif kind == "spin":
-            s.spin_wait += ev.info["seconds"]
+            s.spin_wait += info["seconds"]
         elif kind == "straggler":
             s.stragglers_detected += 1
         elif kind == "kernel-timeout":

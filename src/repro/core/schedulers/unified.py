@@ -123,10 +123,9 @@ class UnifiedHostScheduler(SchedulerCore):
         def recv_watcher(spec, req):
             comm.queue_unpack(spec, (yield req.event))
 
-        for d in st.local:
-            for spec in graph.recvs_for(d):
-                req = self.comm.irecv(source=spec.from_rank, tag=st.tag_base + spec.tag)
-                sim.process(recv_watcher(spec, req), name=f"recvw-r{rank}")
+        for spec in graph.recvs_on(rank):
+            req = self.comm.irecv(source=spec.from_rank, tag=st.tag_base + spec.tag)
+            sim.process(recv_watcher(spec, req), name=f"recvw-r{rank}")
 
         comm.queue_startup()
         self._carryover_sends = [r for r in self._carryover_sends if not r.complete]

@@ -285,9 +285,23 @@ class TaskGraph:
 
     # -- per-rank views ------------------------------------------------------------
     def _index_views(self) -> None:
+        """Build every per-rank and per-task lookup once per compiled graph;
+        the schedulers only read these views, every timestep."""
         self._local: dict[int, list[DetailedTask]] = {r: [] for r in range(self.num_ranks)}
         for dt in self.detailed_tasks:
             self._local[dt.rank].append(dt)
+        self._local_patches: dict[int, list[Patch]] = {r: [] for r in range(self.num_ranks)}
+        for patch in self.grid.patches():
+            self._local_patches[self.assignment[patch.patch_id]].append(patch)
+        # internal edges are same-rank, so visiting consumers in global
+        # order lists each producer's dependents in local-task order
+        self._dependents: dict[int, list[DetailedTask]] = {
+            dt.dt_id: [] for dt in self.detailed_tasks
+        }
+        for other in self.detailed_tasks:
+            for dep in self.internal_deps[other.dt_id]:
+                if self.detailed_tasks[dep].rank == other.rank:
+                    self._dependents[dep].append(other)
         self._recvs: dict[int, list[MessageSpec]] = {dt.dt_id: [] for dt in self.detailed_tasks}
         self._sends_startup: dict[int, list[MessageSpec]] = {
             r: [] for r in range(self.num_ranks)
@@ -321,14 +335,29 @@ class TaskGraph:
             else:
                 self._copies_after[cp.producer.dt_id].append(cp)
             self._copies_for[cp.consumer.dt_id].append(cp)
+        self._recvs_on: dict[int, list[MessageSpec]] = {
+            r: [m for dt in self._local[r] for m in self._recvs[dt.dt_id]]
+            for r in range(self.num_ranks)
+        }
+        self._old_dw_consumers = self._count_old_dw_consumers()
 
     def local_tasks(self, rank: int) -> list[DetailedTask]:
         """Detailed tasks owned by ``rank`` (declaration order)."""
         return self._local[rank]
 
+    def local_patches(self, rank: int) -> list[Patch]:
+        """Patches assigned to ``rank``, in patch-id order (shared; do not
+        mutate)."""
+        return self._local_patches[rank]
+
     def recvs_for(self, dt: DetailedTask) -> list[MessageSpec]:
         """Incoming messages the task must see before running."""
         return self._recvs[dt.dt_id]
+
+    def recvs_on(self, rank: int) -> list[MessageSpec]:
+        """Every incoming message of ``rank``'s tasks, in local-task order
+        (shared; do not mutate)."""
+        return self._recvs_on[rank]
 
     def startup_sends(self, rank: int) -> list[MessageSpec]:
         """Producerless messages ``rank`` sends at the start of every step."""
@@ -362,29 +391,32 @@ class TaskGraph:
         old data and as intra-rank ghost copies read their source; when a
         count hits zero the variable is scrubbed from the old DW —
         Uintah's scrubbing memory reclamation.  Bootstrap-step sends add
-        their own counts at runtime (they also read the old DW).
+        their own counts at runtime (they also read the old DW).  Returns
+        a fresh dict the caller may consume.
         """
-        counts: dict[tuple[str, int], int] = {}
-        for dt in self._local[rank]:
+        return dict(self._old_dw_consumers[rank])
+
+    def _count_old_dw_consumers(self) -> dict[int, dict[tuple[str, int], int]]:
+        counts: dict[int, dict[tuple[str, int], int]] = {r: {} for r in range(self.num_ranks)}
+        for dt in self.detailed_tasks:
             if dt.patch is None:
                 continue
+            mine = counts[dt.rank]
             for dep in dt.task.requires:
                 if dep.dw == "old" and not dep.label.is_reduction:
                     key = (dep.label.name, dt.patch.patch_id)
-                    counts[key] = counts.get(key, 0) + 1
+                    mine[key] = mine.get(key, 0) + 1
         for cp in self.copies:
-            if cp.rank == rank and cp.dw == "old":
+            if cp.dw == "old":
+                mine = counts[cp.rank]
                 key = (cp.label.name, cp.from_patch.patch_id)
-                counts[key] = counts.get(key, 0) + 1
+                mine[key] = mine.get(key, 0) + 1
         return counts
 
     def dependents_of(self, dt: DetailedTask) -> list[DetailedTask]:
-        """Same-rank tasks with an internal edge from ``dt``."""
-        return [
-            other
-            for other in self._local[dt.rank]
-            if dt.dt_id in self.internal_deps[other.dt_id]
-        ]
+        """Same-rank tasks with an internal edge from ``dt``, in local-task
+        order (shared; do not mutate)."""
+        return self._dependents[dt.dt_id]
 
     # -- invariants (used by tests and controller asserts) ----------------------------
     def validate_acyclic(self) -> None:

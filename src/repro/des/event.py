@@ -163,11 +163,17 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: object = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        super().__init__(sim, name=f"Timeout({delay:g})")
+        # The label is derived lazily in __repr__: hundreds of thousands
+        # of timeouts per run never need it.
+        super().__init__(sim)
         self.delay = delay
         self._ok = True
         self._value = value
         sim._schedule(self, delay)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "processed" if self._processed else "triggered"
+        return f"<{self.name or f'Timeout({self.delay:g})'} {state} at {id(self):#x}>"
 
 
 class Condition(Event):

@@ -9,6 +9,10 @@ from repro.des.event import Event, Timeout, all_of, any_of
 from repro.des.process import Process
 
 
+#: ``max_events=None``: no budget (compares greater than any count).
+_UNLIMITED = float("inf")
+
+
 class EmptySchedule(Exception):
     """Raised by :meth:`Simulator.step` when no events remain."""
 
@@ -38,6 +42,9 @@ class Simulator:
         self._now = float(start_time)
         self._queue: list[tuple[float, int, object]] = []
         self._seq = 0
+        #: Events processed by :meth:`run` over this simulator's life
+        #: (updated when each ``run`` call returns or raises).
+        self.events_run = 0
 
     # -- clock ---------------------------------------------------------------
     @property
@@ -101,42 +108,55 @@ class Simulator:
             an :class:`Event` — run until that event has been processed,
             returning its value (or raising its exception).
         max_events:
-            Optional runaway guard: abort with ``RuntimeError`` after
-            processing this many events (catches processes stuck in
-            zero-delay loops, which never drain the queue).
+            Optional runaway guard: abort with ``RuntimeError`` once this
+            many events were processed and more remain (catches processes
+            stuck in zero-delay loops, which never drain the queue).
+
+        Every event goes through :meth:`step`, the single per-event entry
+        point; the count of events this call processed (one that raised
+        included) is added to :attr:`events_run`.
         """
-        budget = max_events
-
-        def tick() -> None:
-            nonlocal budget
-            self.step()
-            if budget is not None:
-                budget -= 1
-                if budget < 0:
-                    raise RuntimeError(
-                        f"simulation exceeded max_events={max_events} at t={self._now} "
-                        "(zero-delay loop?)"
-                    )
-
-        if until is None:
-            while self._queue:
-                tick()
+        limit = _UNLIMITED if max_events is None else max_events
+        queue = self._queue  # heap mutated in place, never rebound
+        step = self.step
+        count = 0
+        try:
+            if until is None:
+                while queue:
+                    if count >= limit:
+                        self._runaway(max_events)
+                    count += 1
+                    step()
+                return None
+            if isinstance(until, Event):
+                target = until
+                while not target._processed:
+                    if not queue:
+                        raise RuntimeError(
+                            f"simulation ran out of events before {target!r} fired (deadlock?)"
+                        )
+                    if count >= limit:
+                        self._runaway(max_events)
+                    count += 1
+                    step()
+                if not target.ok:
+                    raise _t.cast(BaseException, target.value)
+                return target.value
+            horizon = float(until)
+            if horizon < self._now:
+                raise ValueError(f"until={horizon} is in the past (now={self._now})")
+            while queue and queue[0][0] <= horizon:
+                if count >= limit:
+                    self._runaway(max_events)
+                count += 1
+                step()
+            self._now = horizon
             return None
-        if isinstance(until, Event):
-            target = until
-            while not target.processed:
-                if not self._queue:
-                    raise RuntimeError(
-                        f"simulation ran out of events before {target!r} fired (deadlock?)"
-                    )
-                tick()
-            if not target.ok:
-                raise _t.cast(BaseException, target.value)
-            return target.value
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} is in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            tick()
-        self._now = horizon
-        return None
+        finally:
+            self.events_run += count
+
+    def _runaway(self, max_events: int | None) -> _t.NoReturn:
+        raise RuntimeError(
+            f"simulation exceeded max_events={max_events} at t={self._now} "
+            "(zero-delay loop?)"
+        )

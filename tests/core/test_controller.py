@@ -152,3 +152,46 @@ def test_noise_only_slows_down():
     )
     noisy = noisy_ctl.run(nsteps=2, dt=1e-3).time_per_step
     assert noisy > quiet
+
+
+def test_run_reports_its_own_des_event_count(monkeypatch):
+    """``RunResult.des_events`` equals an outside count of
+    ``Simulator.step`` calls, the way the benchmark counts events."""
+    from repro.des.simulator import Simulator
+
+    _, prob, ctl = make_controller(real=False, num_ranks=4)
+    steps = []
+    real_step = Simulator.step
+
+    def counting_step(self):
+        steps.append(None)
+        real_step(self)
+
+    monkeypatch.setattr(Simulator, "step", counting_step)
+    res = ctl.run(nsteps=3, dt=prob.stable_dt())
+    assert res.des_events == len(steps) > 0
+    again = ctl.run(nsteps=2, dt=prob.stable_dt())  # per run, not cumulative
+    assert again.des_events == len(steps) - res.des_events > 0
+
+
+def test_geometry_is_compiled_once_per_grid(monkeypatch):
+    """Building a 128-rank paper-scale controller and running it reads
+    patch geometry from the grid's tables, not by rebuilding patches
+    per rank, task and step."""
+    from repro.harness.problems import problem_by_name
+
+    grid = problem_by_name("128x128x512").grid()
+    calls = []
+    real_patch = Grid.patch
+
+    def counting_patch(self, index):
+        calls.append(index)
+        return real_patch(self, index)
+
+    monkeypatch.setattr(Grid, "patch", counting_patch)
+    prob = BurgersProblem(grid)
+    ctl = SimulationController(
+        grid, prob.tasks(), prob.init_tasks(), num_ranks=128, mode="async", real=False
+    )
+    ctl.run(nsteps=2, dt=prob.stable_dt())
+    assert len(calls) <= 8 * grid.num_patches

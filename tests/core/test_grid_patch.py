@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.grid import Grid
-from repro.core.patch import Region, FACES
+from repro.core.patch import Patch, Region, FACES
+from tests.strategies import grids
 
 
 # -- Region -------------------------------------------------------------------
@@ -167,3 +168,88 @@ def test_property_grown_region_cell_count(ghosts, size):
     for s in size:
         expect *= s + 2 * ghosts
     assert g.num_cells == expect
+
+
+# -- geometry tables built once per grid ------------------------------------------
+
+def _scratch_patch(g: Grid, index) -> Patch:
+    """The patch at ``index``, built from first principles."""
+    ex = g.patch_extent
+    low = tuple(index[a] * ex[a] for a in range(3))
+    high = tuple(low[a] + ex[a] for a in range(3))
+    px, py, _ = g.layout
+    pid = (index[2] * py + index[1]) * px + index[0]
+    return Patch(pid, tuple(index), Region(low, high))
+
+
+def _scratch_neighbor(g: Grid, p: Patch, axis: int, side: int):
+    idx = list(p.index)
+    idx[axis] += side
+    if not 0 <= idx[axis] < g.layout[axis]:
+        return None
+    return _scratch_patch(g, idx)
+
+
+@given(grids(max_per_axis=3))
+def test_property_cached_geometry_equals_scratch(g):
+    """Every cached accessor matches geometry built from scratch."""
+    px, py, pz = g.layout
+    scratch = [
+        _scratch_patch(g, (ix, iy, iz))
+        for iz in range(pz)
+        for iy in range(py)
+        for ix in range(px)
+    ]
+    assert g.patches() == scratch
+    for want in scratch:
+        got = g.patch(want.index)
+        assert got == want and got.extent == want.extent
+        assert got.num_cells == want.num_cells
+        nbs = [(a, s, _scratch_neighbor(g, want, a, s)) for a, s in FACES]
+        for axis, side, nb in nbs:
+            assert g.neighbor(want, axis, side) == nb
+        assert g.face_neighbors(want) == [(a, s, nb) for a, s, nb in nbs if nb is not None]
+        assert g.boundary_faces(want) == [(a, s) for a, s, nb in nbs if nb is None]
+
+
+def test_patch_list_is_a_copy():
+    g = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
+    first = g.patches()
+    expect = list(first)
+    first.reverse()
+    first.pop()
+    first.append("junk")
+    assert g.patches() == expect
+    assert g.patches() is not g.patches()
+    faces = g.boundary_faces(g.patch((0, 0, 0)))
+    faces.clear()
+    assert len(g.boundary_faces(g.patch((0, 0, 0)))) == 3
+    nbs = g.face_neighbors(g.patch((0, 0, 0)))
+    nbs.clear()
+    assert len(g.face_neighbors(g.patch((0, 0, 0)))) == 3
+
+
+def test_patch_keeps_bounds_check_and_caches_objects():
+    g = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
+    with pytest.raises(IndexError):
+        g.patch((2, 0, 0))
+    with pytest.raises(IndexError):
+        g.patch((0, -1, 0))
+    assert g.patch((1, 1, 1)) is g.patches()[7]
+    with pytest.raises(ValueError, match="side"):
+        g.neighbor(g.patch((0, 0, 0)), 0, 2)
+
+
+def test_grid_equality_ignores_tables():
+    a = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
+    b = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
+    assert a == b and hash(a) == hash(b)
+    assert "_patches" not in repr(a)
+
+
+def test_region_stores_extent_and_cells():
+    r = Region((1, 2, 3), (4, 6, 9))
+    assert r.extent == (3, 4, 6) and r.num_cells == 72
+    # derived fields stay out of equality and repr
+    assert r == Region((1, 2, 3), (4, 6, 9))
+    assert repr(r) == "Region(low=(1, 2, 3), high=(4, 6, 9))"

@@ -220,6 +220,29 @@ def test_pop_ready_key_selects_highest_score():
     assert not tracker.any_ready
 
 
+@pytest.mark.parametrize("mode", ["async", "sync", "mpe_only"])
+def test_stats_counters_independent_of_subscribers(mode):
+    """The lifecycle builds no events when nobody subscribed; the stats
+    counters must equal a run where an extra subscriber sees every event."""
+    import dataclasses
+
+    def stats(extra_subscriber: bool):
+        grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
+        prob = BurgersProblem(grid)
+        ctl = SimulationController(
+            grid, prob.tasks(), prob.init_tasks(), num_ranks=2, mode=mode, real=False
+        )
+        seen = []
+        if extra_subscriber:
+            for sched in ctl.schedulers:
+                sched.lifecycle.subscribe(seen.append)
+        res = ctl.run(nsteps=3, dt=prob.stable_dt())
+        assert bool(seen) == extra_subscriber
+        return res.total_time, [dataclasses.asdict(s) for s in res.rank_stats]
+
+    assert stats(False) == stats(True)
+
+
 def test_release_below_zero_raises():
     """Over-releasing a task is a task-graph bug and must not pass silently."""
     tracker, _ = _tracker(1)

@@ -197,3 +197,41 @@ def test_property_no_ghost_dependency_lost(num_ranks, strategy):
             expected.add((p.patch_id, nb.patch_id))
     assert served == expected
     assert len(graph.messages) + len(graph.copies) == len(expected)
+
+
+# -- per-rank plans, built once per compiled graph ------------------------------------
+
+@settings(deadline=None, max_examples=25)
+@given(
+    num_ranks=st.integers(1, 8),
+    strategy=st.sampled_from(LoadBalancer.STRATEGIES),
+)
+def test_property_per_rank_plans_match_their_definitions(num_ranks, strategy):
+    """The precomputed views equal the scans they replace."""
+    red = Task("norm", kind=TaskKind.REDUCTION, reduction_op=max)
+    red.requires_(U, dw="new").computes_(NORM)
+    grid = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
+    assignment = LoadBalancer(strategy).assign(grid, num_ranks)
+    graph = TaskGraph(grid, [advance_task(), red], assignment, num_ranks)
+    owned = []
+    for r in range(num_ranks):
+        mine = graph.local_patches(r)
+        # id order, exactly this rank's patches
+        assert [p.patch_id for p in mine] == sorted(p.patch_id for p in mine)
+        assert mine == [p for p in grid.patches() if assignment[p.patch_id] == r]
+        owned.extend(p.patch_id for p in mine)
+        local = graph.local_tasks(r)
+        assert graph.recvs_on(r) == [m for d in local for m in graph.recvs_for(d)]
+    assert sorted(owned) == list(range(grid.num_patches))  # a partition
+    for dt in graph.detailed_tasks:
+        assert graph.dependents_of(dt) == [
+            o for o in graph.local_tasks(dt.rank) if dt.dt_id in graph.internal_deps[o.dt_id]
+        ]
+
+
+def test_old_dw_consumers_is_fresh_per_call():
+    graph, _, _ = build(num_ranks=2)
+    first = graph.old_dw_consumers(0)
+    expect = dict(first)
+    first.clear()
+    assert graph.old_dw_consumers(0) == expect and expect

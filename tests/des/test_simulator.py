@@ -160,3 +160,70 @@ def test_max_events_guard_allows_normal_completion():
     sim.process(proc(sim))
     sim.run(max_events=1000)
     assert sim.now == 5.0
+
+
+def _seven_event_run() -> tuple[Simulator, list]:
+    """Boot + five timeouts + the process's own completion: 7 events."""
+    sim = Simulator()
+
+    def proc(sim):
+        for _ in range(5):
+            yield sim.timeout(1.0)
+
+    sim.process(proc(sim))
+    stepped = []
+    real_step = sim.step
+
+    def counting_step():
+        real_step()
+        stepped.append(sim.now)
+
+    sim.step = counting_step
+    return sim, stepped
+
+
+def test_max_events_budget_is_exact():
+    sim, stepped = _seven_event_run()
+    with pytest.raises(RuntimeError, match="max_events=6"):
+        sim.run(max_events=6)
+    assert len(stepped) == 6
+    assert sim.events_run == 6  # stored on the raise path too
+
+    sim, stepped = _seven_event_run()
+    sim.run(max_events=7)
+    assert len(stepped) == 7 and sim.now == 5.0
+    assert sim.events_run == 7
+
+
+def test_run_counts_its_events_in_every_mode():
+    sim, stepped = _seven_event_run()
+    sim.run(until=2.5)  # horizon mode
+    assert sim.events_run == len(stepped) == 3
+    target = sim.timeout(10.0)
+    sim.run(until=target)  # event mode: the rest of proc, then target
+    assert sim.events_run == len(stepped) == 8
+    sim.run()
+    assert sim.events_run == len(stepped) == 8
+
+
+def test_event_that_raises_in_step_is_counted():
+    """An unhandled process failure raises out of ``step``; the event was
+    still processed, so ``events_run`` matches a count of ``step`` calls."""
+    sim = Simulator()
+
+    def proc(sim):
+        yield sim.timeout(1.0)
+        raise ValueError("boom")
+
+    sim.process(proc(sim))
+    calls = []
+    real_step = sim.step
+
+    def counting_step():
+        calls.append(sim.now)
+        real_step()
+
+    sim.step = counting_step
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert sim.events_run == len(calls) == 3
