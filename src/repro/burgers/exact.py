@@ -2,15 +2,16 @@
 
 ``u(x, y, z, t) = phi(x,t) phi(y,t) phi(z,t)`` (paper Sec. III).  The
 product structure lets us evaluate whole regions with three 1-D phi
-vectors and an outer product — what initialization and boundary
-conditions use.
+vectors, sliced from the per-step tables of
+:func:`~repro.burgers.phi.phi_cells`, and an outer product — what
+initialization and boundary conditions use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.burgers.phi import phi, NU
+from repro.burgers.phi import phi, phi_cells, NU
 from repro.core.grid import Grid
 from repro.core.patch import Region
 from repro.sunway.fastmath import ieee_exp
@@ -19,13 +20,6 @@ from repro.sunway.fastmath import ieee_exp
 def exact_solution(x, y, z, t: float = 0.0, nu: float = NU, exp=ieee_exp):
     """Pointwise exact solution at coordinates (broadcastable arrays)."""
     return phi(x, t, nu, exp) * phi(y, t, nu, exp) * phi(z, t, nu, exp)
-
-
-def _axis_centers(grid: Grid, axis: int, lo: int, hi: int) -> np.ndarray:
-    """Cell-centre coordinates of index range [lo, hi) along ``axis``."""
-    d = grid.spacing[axis]
-    base = grid.domain_low[axis]
-    return base + (np.arange(lo, hi, dtype=np.float64) + 0.5) * d
 
 
 def exact_on_region(
@@ -38,15 +32,13 @@ def exact_on_region(
     outside the physical domain (ghost cells): phi is globally defined,
     which is exactly how the boundary conditions are imposed.
     """
-    fx = phi(_axis_centers(grid, 0, region.low[0], region.high[0]), t, nu, exp)
-    fy = phi(_axis_centers(grid, 1, region.low[1], region.high[1]), t, nu, exp)
-    fz = phi(_axis_centers(grid, 2, region.low[2], region.high[2]), t, nu, exp)
-    out = (
-        np.asarray(fx)[:, None, None]
-        * np.asarray(fy)[None, :, None]
-        * np.asarray(fz)[None, None, :]
+    fx, fy, fz = (
+        phi_cells(grid, axis, region.low[axis], region.high[axis], t, nu, exp)
+        for axis in range(3)
     )
-    return np.asfortranarray(out)
+    out = np.empty(region.extent, order="F")
+    np.multiply((fx[:, None] * fy)[:, :, None], fz, out=out)
+    return out
 
 
 def solution_errors(

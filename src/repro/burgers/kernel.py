@@ -3,8 +3,11 @@
 Two numerically identical implementations:
 
 * :func:`apply_kernel` — the production form: vectorized NumPy over the
-  whole patch (the guides' "vectorize the loop" idiom), evaluating the
-  three phi coefficient vectors once per axis and broadcasting.
+  whole patch (the guides' "vectorize the loop" idiom).  The three phi
+  coefficient vectors are slices of the per-step tables of
+  :func:`~repro.burgers.phi.phi_cells`, broadcast over the patch; the
+  stencil runs on contiguous shifted slices of the flattened array and
+  writes into three scratch buffers, not one temporary per operation.
 * :func:`apply_kernel_cell_loop` — a literal per-cell transliteration of
   Algorithm 1, kept as the executable specification; tests assert the
   production kernel matches it bitwise on small patches.
@@ -23,19 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.burgers.phi import phi, NU
+from repro.burgers.phi import phi, phi_cells, NU
 from repro.core.grid import Grid
-from repro.core.patch import Patch
 from repro.core.variables import CCVariable
 from repro.sunway.fastmath import ieee_exp
-
-
-def _phi_axis(grid: Grid, patch: Patch, axis: int, t: float, nu: float, exp) -> np.ndarray:
-    """Phi at the interior cell centres of ``patch`` along one axis."""
-    d = grid.spacing[axis]
-    lo, hi = patch.low[axis], patch.high[axis]
-    x = grid.domain_low[axis] + (np.arange(lo, hi, dtype=np.float64) + 0.5) * d
-    return np.asarray(phi(x, t, nu, exp))
 
 
 def apply_kernel(
@@ -57,25 +51,58 @@ def apply_kernel(
         raise ValueError("Burgers kernel needs one layer of ghost cells")
     patch = u_old.patch
     dx, dy, dz = grid.spacing
-    u = u_old.data
-    c = u[1:-1, 1:-1, 1:-1]
-    xm, xp = u[:-2, 1:-1, 1:-1], u[2:, 1:-1, 1:-1]
-    ym, yp = u[1:-1, :-2, 1:-1], u[1:-1, 2:, 1:-1]
-    zm, zp = u[1:-1, 1:-1, :-2], u[1:-1, 1:-1, 2:]
+    g = u_old.ghosts
+    # Work on the flattened z-planes that hold interior cells.  In the
+    # Fortran-ordered ghosted array a shift of the flat index by 1, sy or
+    # sz is the x, y or z neighbour, so every operand is one contiguous
+    # slice.  Cells on the x/y ghost rim get meaningless values and are
+    # dropped at the end; interior cells see exactly Algorithm 1's operands.
+    gx, gy, gz = u_old.data.shape
+    sy, sz = gx, gx * gy
+    flat = u_old.data.reshape(-1, order="F")
+    n = (gz - 2 * g) * sz
+    planes = (gx, gy, gz - 2 * g)
 
-    px = _phi_axis(grid, patch, 0, t, nu, exp)[:, None, None]
-    py = _phi_axis(grid, patch, 1, t, nu, exp)[None, :, None]
-    pz = _phi_axis(grid, patch, 2, t, nu, exp)[None, None, :]
+    def at(shift: int) -> np.ndarray:
+        return flat[g * sz + shift : g * sz + shift + n]
 
-    u_dudx = px * (xm - c) / dx
-    u_dudy = py * (ym - c) / dy
-    u_dudz = pz * (zm - c) / dz
-    d2udx2 = (-2.0 * c + xm + xp) / (dx * dx)
-    d2udy2 = (-2.0 * c + ym + yp) / (dy * dy)
-    d2udz2 = (-2.0 * c + zm + zp) / (dz * dz)
+    c = at(0)
+    lo, hi = patch.low, patch.high
+    px = phi_cells(grid, 0, lo[0] - g, hi[0] + g, t, nu, exp)[:, None, None]
+    py = phi_cells(grid, 1, lo[1] - g, hi[1] + g, t, nu, exp)[None, :, None]
+    pz = phi_cells(grid, 2, lo[2], hi[2], t, nu, exp)[None, None, :]
 
-    du = (u_dudx + u_dudy + u_dudz) + nu * (d2udx2 + d2udy2 + d2udz2)
-    u_new.interior[...] = c + dt * du
+    # du = (u_dudx + u_dudy + u_dudz) + nu * (d2udx2 + d2udy2 + d2udz2),
+    # in exactly that order, through three scratch buffers.
+    adv, tmp, work = np.empty(n), np.empty(n), np.empty(n)
+    adv3, tmp3 = adv.reshape(planes, order="F"), tmp.reshape(planes, order="F")
+    np.subtract(at(-1), c, out=adv)
+    adv3 *= px
+    adv /= dx
+    np.subtract(at(-sy), c, out=tmp)
+    tmp3 *= py
+    tmp /= dy
+    adv += tmp
+    np.subtract(at(-sz), c, out=tmp)
+    tmp3 *= pz
+    tmp /= dz
+    adv += tmp
+    dif = tmp
+    np.multiply(c, -2.0, out=dif)
+    dif += at(-1)
+    dif += at(1)
+    dif /= dx * dx
+    for shift, d in ((sy, dy), (sz, dz)):
+        np.multiply(c, -2.0, out=work)
+        work += at(-shift)
+        work += at(shift)
+        work /= d * d
+        dif += work
+    dif *= nu
+    adv += dif
+    adv *= dt
+    np.add(c, adv, out=work)
+    u_new.interior[...] = work.reshape(planes, order="F")[g:-g, g:-g, :]
 
 
 def apply_kernel_cell_loop(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.burgers.phi import phi, NU
+from repro.burgers.phi import phi_cells, NU
 from repro.core.grid import Grid
 from repro.core.tiling import TilePlan
 from repro.core.variables import CCVariable
@@ -32,8 +32,7 @@ from repro.sunway import simd
 
 
 def _phi_scalar(grid: Grid, axis: int, global_index: int, t: float, nu: float, exp) -> float:
-    x = grid.domain_low[axis] + (global_index + 0.5) * grid.spacing[axis]
-    return float(phi(x, t, nu, exp))
+    return float(phi_cells(grid, axis, global_index, global_index + 1, t, nu, exp)[0])
 
 
 def _kernel_row_simd(
@@ -125,15 +124,7 @@ def apply_kernel_simd(
 
         # phi coefficients at this tile's cell centres
         gx0 = patch.low[0] + lx
-        px_row = np.ascontiguousarray(
-            phi(
-                grid.domain_low[0]
-                + (np.arange(gx0, gx0 + tx, dtype=np.float64) + 0.5) * dx,
-                t,
-                nu,
-                exp,
-            )
-        )
+        px_row = phi_cells(grid, 0, gx0, gx0 + tx, t, nu, exp)
         for k in range(tz):
             pzk = _phi_scalar(grid, 2, patch.low[2] + lz + k, t, nu, exp)
             for j in range(ty):

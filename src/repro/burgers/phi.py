@@ -16,13 +16,23 @@ and denominator ... by the largest value of e^a, e^b, e^c reduces the
 number of exponentials needed by one" — and, crucially, makes every
 remaining exponent non-positive, so nothing overflows.  :func:`phi` is
 that stable form; :func:`phi_naive` is the textbook form kept for tests.
+
+phi depends only on one axis coordinate and ``t``, so every caller on a
+grid (kernel coefficients, initial and boundary conditions) reads it from
+one table per (grid, axis, t) through :func:`phi_cells`.
 """
 
 from __future__ import annotations
 
+import functools
+import typing as _t
+
 import numpy as np
 
 from repro.sunway.fastmath import ieee_exp
+
+if _t.TYPE_CHECKING:
+    from repro.core.grid import Grid
 
 #: Default viscosity of the model problem.
 NU = 0.01
@@ -62,6 +72,37 @@ def phi(x, t: float = 0.0, nu: float = NU, exp=ieee_exp):
     m = np.maximum(np.maximum(a, b), c)
     ea, eb, ec = exp(a - m), exp(b - m), exp(c - m)
     return (0.1 * ea + 0.5 * eb + ec) / (ea + eb + ec)
+
+
+@functools.lru_cache(maxsize=16)
+def _phi_table(grid: Grid, axis: int, lo: int, hi: int, t: float, nu: float, exp) -> np.ndarray:
+    """phi at the cell centres ``[lo, hi)`` of one axis, read-only.
+
+    The bound covers a few steps of every axis at once: ranks of the
+    asynchronous scheduler work on different timesteps concurrently.
+    """
+    d = grid.spacing[axis]
+    x = grid.domain_low[axis] + (np.arange(lo, hi, dtype=np.float64) + 0.5) * d
+    table = np.asarray(phi(x, t, nu, exp))
+    table.flags.writeable = False
+    return table
+
+
+def phi_cells(
+    grid: Grid, axis: int, lo: int, hi: int, t: float, nu: float = NU, exp=ieee_exp
+) -> np.ndarray:
+    """phi at the cell centres ``[lo, hi)`` along ``axis``, as a read-only view.
+
+    The view slices one memoized table per (grid, axis, t, nu, exp) that
+    covers the axis's cells plus one ghost layer; a range reaching
+    further widens the table's key.  Every element is computed
+    independently, so a slice is bitwise equal to evaluating :func:`phi`
+    on just those centres.
+    """
+    base_lo = min(lo, -1)
+    base_hi = max(hi, grid.extent[axis] + 1)
+    table = _phi_table(grid, axis, base_lo, base_hi, t, nu, exp)
+    return table[lo - base_lo : hi - base_lo]
 
 
 def phi_range() -> tuple[float, float]:

@@ -33,6 +33,8 @@ class CCVariable:
         self.ghosts = ghosts
         shape = tuple(e + 2 * ghosts for e in patch.extent)
         self.data = np.full(shape, fill, dtype=np.float64, order="F")
+        #: Global index of ``data[0, 0, 0]`` (the ghosted low corner).
+        self._origin = tuple(l - ghosts for l in patch.low)
 
     # -- geometry -------------------------------------------------------------
     @property
@@ -41,18 +43,18 @@ class CCVariable:
         return self.patch.region.grown(self.ghosts)
 
     def _local_slices(self, region: Region) -> tuple[slice, slice, slice]:
-        gr = self.ghosted_region
-        slices = []
-        for axis in range(3):
-            lo = region.low[axis] - gr.low[axis]
-            hi = region.high[axis] - gr.low[axis]
-            if lo < 0 or hi > self.data.shape[axis]:
-                raise IndexError(
-                    f"region {region.low}..{region.high} outside ghosted patch "
-                    f"{gr.low}..{gr.high} on axis {axis}"
-                )
-            slices.append(slice(lo, hi))
-        return tuple(slices)  # type: ignore[return-value]
+        (ox, oy, oz), (lx, ly, lz), (hx, hy, hz) = self._origin, region.low, region.high
+        lo = (lx - ox, ly - oy, lz - oz)
+        hi = (hx - ox, hy - oy, hz - oz)
+        nx, ny, nz = self.data.shape
+        if lo[0] < 0 or lo[1] < 0 or lo[2] < 0 or hi[0] > nx or hi[1] > ny or hi[2] > nz:
+            axis = next(a for a in range(3) if lo[a] < 0 or hi[a] > self.data.shape[a])
+            gr = self.ghosted_region
+            raise IndexError(
+                f"region {region.low}..{region.high} outside ghosted patch "
+                f"{gr.low}..{gr.high} on axis {axis}"
+            )
+        return slice(lo[0], hi[0]), slice(lo[1], hi[1]), slice(lo[2], hi[2])
 
     # -- access ----------------------------------------------------------------
     @property

@@ -32,8 +32,10 @@ IEEE_EXP_SLOWDOWN = IEEE_EXP_FLOPS / FAST_EXP_FLOPS
 
 _LN2 = float(np.log(2.0))
 _INV_LN2 = 1.0 / _LN2
-# exp() overflow/underflow bounds for float64, used for clamping k.
-_MAX_EXP_ARG = 709.0
+# libm's float64 saturation bounds: exp(x) is inf above log(DBL_MAX) and
+# rounds to 0 at and below log(2**-1075) (half the smallest subnormal).
+_EXP_OVERFLOW = float(np.log(np.finfo(np.float64).max))  # 709.782712893384
+_EXP_UNDERFLOW = -1075 * _LN2  # -745.1332191019412
 
 
 def ieee_exp(x):
@@ -52,18 +54,25 @@ def fast_exp(x):
     Accepts scalars or arrays; returns the same shape.  Relative error is
     bounded by 1e-4 on the normal range (tested; ~6e-5 worst case),
     matching the paper's "some inaccuracy" trade-off.  Out-of-range
-    arguments saturate to 0 / inf like libm does.
+    arguments saturate to 0 / inf at libm's bounds (overflow above
+    ``log(DBL_MAX)``, zero at and below ``-1075 ln 2``); arguments just
+    inside them give large finite values or subnormals as libm does (within
+    the approximation error of the top bound the result may round to inf),
+    and NaN propagates without a warning.
     """
     x_arr = np.asarray(x, dtype=np.float64)
-    clipped = np.clip(x_arr, -_MAX_EXP_ARG, _MAX_EXP_ARG)
+    clipped = np.clip(x_arr, _EXP_UNDERFLOW, _EXP_OVERFLOW)
     k = np.rint(clipped * _INV_LN2)
     r = clipped - k * _LN2
     # Degree-4 Taylor on |r| <= ln(2)/2: max relative error ~ r^5/5! ~ 4e-5.
     p = 1.0 + r * (1.0 + r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 24.0))))
-    out = np.ldexp(p, k.astype(np.int64))
+    # A NaN argument carries through p; its k only has to be a valid int.
+    k_int = np.where(np.isnan(k), 0.0, k).astype(np.int64)
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.ldexp(p, k_int)
     # Saturate exactly where libm would.
-    out = np.where(x_arr > _MAX_EXP_ARG, np.inf, out)
-    out = np.where(x_arr < -_MAX_EXP_ARG, 0.0, out)
+    out = np.where(x_arr > _EXP_OVERFLOW, np.inf, out)
+    out = np.where(x_arr <= _EXP_UNDERFLOW, 0.0, out)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

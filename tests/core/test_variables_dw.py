@@ -62,6 +62,30 @@ def test_variable_region_out_of_bounds():
         var.region_view(Region((0, 0, 0), (6, 1, 1)))
 
 
+@pytest.mark.parametrize("ghosts", [0, 1, 2])
+def test_variable_region_bounds_on_every_axis(ghosts):
+    """Interior patch: the ghosted box is exact on each side of each axis,
+    and the error names the first offending axis and the ghosted box."""
+    patch = Grid(extent=(12, 12, 12), layout=(3, 3, 3)).patch((1, 1, 1))  # cells 4..8
+    var = CCVariable(U, patch, ghosts=ghosts)
+    lo, hi = 4 - ghosts, 8 + ghosts
+    full = var.region_view(Region((lo,) * 3, (hi,) * 3))
+    assert full.shape == var.data.shape
+    for axis in range(3):
+        for low, high in ((lo - 1, hi), (lo, hi + 1)):
+            region = Region(
+                tuple(low if a == axis else lo for a in range(3)),
+                tuple(high if a == axis else hi for a in range(3)),
+            )
+            expect = (
+                f"region {region.low}..{region.high} outside ghosted patch "
+                f"{(lo,) * 3}..{(hi,) * 3} on axis {axis}"
+            )
+            with pytest.raises(IndexError) as err:
+                var.region_view(region)
+            assert str(err.value) == expect
+
+
 def test_pack_unpack_roundtrip():
     patch = make_patch()
     src = CCVariable(U, patch, ghosts=1)

@@ -1,5 +1,7 @@
 """Tests for the DMA cost model and the fast/IEEE exponential libraries."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -90,6 +92,29 @@ def test_fast_exp_scalar_roundtrip():
 def test_fast_exp_saturates_like_libm():
     assert fastmath.fast_exp(1e4) == np.inf
     assert fastmath.fast_exp(-1e4) == 0.0
+
+
+def test_fast_exp_saturates_at_libm_bounds():
+    """Finite up to log(DBL_MAX), subnormal down to about -745, like libm."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = fastmath.fast_exp(709.5)
+        assert np.isfinite(top)
+        assert abs(top / np.exp(709.5) - 1.0) < 1e-4
+        assert fastmath.fast_exp(710.0) == np.inf
+        assert fastmath.fast_exp(-740.0) > 0.0
+        assert fastmath.fast_exp(-746.0) == 0.0
+        arr = fastmath.fast_exp(np.array([709.5, 710.0, -740.0, -746.0]))
+        assert np.isfinite(arr[0]) and arr[1] == np.inf and arr[2] > 0.0 and arr[3] == 0.0
+
+
+def test_fast_exp_propagates_nan_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(fastmath.fast_exp(float("nan")))
+        out = fastmath.fast_exp(np.array([np.nan, 0.0, -np.inf, np.inf]))
+    assert np.isnan(out[0])
+    assert out[1] == 1.0 and out[2] == 0.0 and out[3] == np.inf
 
 
 def test_fast_exp_zero_is_near_one():
