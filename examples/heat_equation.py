@@ -29,7 +29,7 @@ T_LABEL = VarLabel("temperature")
 ENERGY = VarLabel("energy", vartype="reduction")
 
 #: 7-point Laplacian + Euler update: ~14 flops/cell, no exponentials.
-HEAT_COST = KernelCost(stencil_flops=14, exp_calls=0, bytes_read=8, bytes_written=8)
+HEAT_COST = KernelCost(stencil_flops=14, exp_calls=0)
 
 
 def initialize(ctx: TaskContext) -> None:

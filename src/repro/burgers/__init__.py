@@ -30,7 +30,7 @@ Modules:
 from repro.burgers.phi import phi, phi_naive
 from repro.burgers.exact import exact_solution, exact_on_region, solution_errors
 from repro.burgers.component import BurgersProblem
-from repro.burgers.flops import BURGERS_KERNEL_COST, flops_per_interior_cell
+from repro.burgers.flops import BURGERS_KERNEL_COST
 
 __all__ = [
     "phi",
@@ -40,5 +40,4 @@ __all__ = [
     "solution_errors",
     "BurgersProblem",
     "BURGERS_KERNEL_COST",
-    "flops_per_interior_cell",
 ]

@@ -32,6 +32,16 @@ from repro.sunway.fastmath import exp_function
 KERNEL_IMPLS = ("numpy", "cell_loop", "simd")
 
 
+def max_keep_nan(a: float, b: float) -> float:
+    """The ``uNorm`` fold: ``max`` that propagates NaN from either side.
+
+    Builtin ``max(0.5, nan)`` is 0.5, so a NaN patch would hide behind a
+    finite norm unless it came first.  On non-NaN inputs this returns
+    exactly what ``max(a, b)`` returns, ``a`` when the two are equal.
+    """
+    return b if b != b or b > a else a
+
+
 @dataclasses.dataclass
 class BurgersProblem:
     """The model fluid-flow problem on a grid.
@@ -133,7 +143,7 @@ class BurgersProblem:
                 "uNorm",
                 kind=TaskKind.REDUCTION,
                 action=self._norm,
-                reduction_op=max,
+                reduction_op=max_keep_nan,
             )
             norm.requires_(self.u_label, dw="new", ghosts=0)
             norm.computes_(self.norm_label)
@@ -144,8 +154,8 @@ class BurgersProblem:
     def stable_dt(self, safety: float = 0.5) -> float:
         """Forward-Euler stability bound: diffusion + advection CFL.
 
-        phi is bounded by 1 (see :func:`repro.burgers.phi.phi_range`), so
-        ``dt <= safety / (2 nu sum(1/dx_a^2) + sum(1/dx_a))``.
+        phi is a convex combination of 0.1, 0.5 and 1.0, so it is bounded
+        by 1 and ``dt <= safety / (2 nu sum(1/dx_a^2) + sum(1/dx_a))``.
         """
         dx = self.grid.spacing
         diffusion = 2.0 * self.nu * sum(1.0 / (d * d) for d in dx)

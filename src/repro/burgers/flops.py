@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from repro.core.grid import Grid
 from repro.sunway.corerates import KernelCost
-from repro.sunway.fastmath import exp_flops
 from repro.sunway.perfcounters import FlopCounter
 
 #: Non-exponential ops per phi call (see table above).
@@ -58,17 +57,7 @@ EXPS_PER_CELL = PHI_CALLS_PER_CELL * PHI_EXPS
 BYTES_PER_CELL = 16
 
 #: The kernel cost description used by the scheduler's performance model.
-BURGERS_KERNEL_COST = KernelCost(
-    stencil_flops=NONEXP_FLOPS_PER_CELL,
-    exp_calls=EXPS_PER_CELL,
-    bytes_read=8,
-    bytes_written=8,
-)
-
-
-def flops_per_interior_cell(fast_exp: bool = True) -> int:
-    """Counted flops per interior cell (311 with the fast library)."""
-    return NONEXP_FLOPS_PER_CELL + EXPS_PER_CELL * exp_flops(fast_exp)
+BURGERS_KERNEL_COST = KernelCost(stencil_flops=NONEXP_FLOPS_PER_CELL, exp_calls=EXPS_PER_CELL)
 
 
 def count_kernel_flops(counter: FlopCounter, cells: int) -> None:

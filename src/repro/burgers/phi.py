@@ -103,8 +103,3 @@ def phi_cells(
     base_hi = max(hi, grid.extent[axis] + 1)
     table = _phi_table(grid, axis, base_lo, base_hi, t, nu, exp)
     return table[lo - base_lo : hi - base_lo]
-
-
-def phi_range() -> tuple[float, float]:
-    """Bounds of phi: a convex combination of (0.1, 0.5, 1.0)."""
-    return 0.1, 1.0

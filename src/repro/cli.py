@@ -432,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seed for every stochastic model (fault injection, noise); "
-        "the DES itself is deterministic",
+        help="seed for fault injection; the DES itself is deterministic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,6 +17,7 @@ paper's "wall time per time step" indicator.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as _t
 
 from repro.core.costs import SunwayCostModel
@@ -296,6 +297,12 @@ class SimulationController:
         """
         if nsteps < 1:
             raise ValueError(f"nsteps must be >= 1, got {nsteps}")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
+        if not math.isfinite(t0):
+            raise ValueError(f"t0 must be finite, got {t0}")
+        if start_step < 0:
+            raise ValueError(f"start_step must be >= 0, got {start_step}")
         sim = self.sim
         R = self.num_ranks
         start_time = [0.0] * R

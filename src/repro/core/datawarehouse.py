@@ -136,10 +136,6 @@ class DataWarehouse:
         self._scrubbed.add(key)
         return True
 
-    def was_scrubbed(self, label_name: str, patch_id: int) -> bool:
-        """Whether a key has been scrubbed from this warehouse."""
-        return (label_name, patch_id) in self._scrubbed
-
     # -- reductions -----------------------------------------------------------------
     def put_reduction(self, label: VarLabel, value: float) -> None:
         """Store a reduced scalar (overwrites: reductions are idempotent)."""
@@ -155,10 +151,6 @@ class DataWarehouse:
             return self._reductions[label.name]
         except KeyError:
             raise KeyError(f"reduction {label.name!r} not in DW step {self.step}") from None
-
-    def has_reduction(self, label: VarLabel) -> bool:
-        """Whether a reduced scalar is present."""
-        return label.name in self._reductions
 
     # -- inventory -------------------------------------------------------------------
     def grid_variables(self) -> _t.Iterator[CCVariable]:

@@ -107,11 +107,6 @@ class LoadBalancer:
         return assignment
 
     @staticmethod
-    def rank_patches(assignment: dict[int, int], rank: int) -> list[int]:
-        """Patch ids owned by ``rank``, ascending."""
-        return sorted(pid for pid, r in assignment.items() if r == rank)
-
-    @staticmethod
     def load_counts(assignment: dict[int, int], num_ranks: int) -> list[int]:
         """Patches per rank (for balance assertions)."""
         counts = [0] * num_ranks

@@ -63,10 +63,6 @@ class Region:
             tuple(h + ghosts for h in self.high),  # type: ignore[arg-type]
         )
 
-    def contains(self, cell: tuple[int, int, int]) -> bool:
-        """Whether ``cell`` lies inside the region."""
-        return all(l <= c < h for l, c, h in zip(self.low, cell, self.high))
-
     def cells(self) -> _t.Iterator[tuple[int, int, int]]:
         """Iterate all cells (for tests; production code slices arrays)."""
         return itertools.product(*(range(l, h) for l, h in zip(self.low, self.high)))
@@ -128,14 +124,6 @@ class Patch:
             low[axis] = high[axis]
             high[axis] = high[axis] + width
         return Region(tuple(low), tuple(high))  # type: ignore[arg-type]
-
-    @property
-    def surface_cells(self) -> int:
-        """Total interior cells lying on any face (ghost-source volume)."""
-        ex, ey, ez = self.extent
-        if min(ex, ey, ez) <= 2:
-            return self.num_cells
-        return self.num_cells - (ex - 2) * (ey - 2) * (ez - 2)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Patch {self.patch_id} idx={self.index} {self.low}..{self.high}>"

@@ -1,7 +1,8 @@
 """Executor backends: where and how a rank's compute kernels run.
 
-The scheduler loop is backend-agnostic; everything Sunway-mode-specific
-lives behind :class:`ExecutorBackend`:
+The Sunway scheduler loop is backend-agnostic; everything mode-specific
+lives behind a backend object with an ``overlaps`` flag, ``num_groups()``
+and ``run_kernels()``:
 
 * :class:`CPEBackend` — offload kernels to CPE groups through the
   :class:`~repro.core.schedulers.offload.OffloadEngine`; non-blocking
@@ -10,7 +11,7 @@ lives behind :class:`ExecutorBackend`:
 * :class:`MPEBackend` — run kernels on the management core itself
   (``mpe_only`` mode).
 
-Beside them, :class:`HostThreadPoolBackend` is a pool of simulated host
+Beside them, :class:`WorkerPool` is one timestep's pool of simulated host
 worker threads draining one shared run queue of tasks and
 :class:`~repro.core.schedulers.commengine.CommEngine` items, modelling
 Uintah's Unified Scheduler for :class:`~repro.core.schedulers.unified.
@@ -26,22 +27,6 @@ import typing as _t
 
 from repro.core.schedulers.lifecycle import TaskState
 from repro.des.resources import Store
-
-
-class ExecutorBackend(_t.Protocol):
-    """What the scheduler loop needs from a kernel execution strategy."""
-
-    #: Whether offloaded kernels overlap further MPE work (enables the
-    #: idle-MPE prefetch of the next kernel's MPE part).
-    overlaps: bool
-
-    def num_groups(self, athread) -> int:
-        """Concurrent offload slots this backend drives."""
-        ...
-
-    def run_kernels(self, sched, st, comm, offload) -> _t.Generator:
-        """Dispatch ready kernels; yields sim events, returns progress."""
-        ...
 
 
 class CPEBackend:
@@ -106,26 +91,6 @@ class MPEBackend:
         sched.lifecycle.emit("flops", nxt, n=sched.costs.kernel_flops(nxt.task, nxt.patch))
         sched.finish_task(st, comm, nxt)
         return True
-
-
-class HostThreadPoolBackend:
-    """Uintah-Unified-style pool of host worker threads (no offload).
-
-    ``num_threads`` host cores drain one shared run queue of tasks *and*
-    communication units.  On SW26010 that is 1 (the MPE); Uintah's
-    production machines give it 16-64.  The per-step machinery lives in
-    :class:`WorkerPool`, built fresh by :meth:`start_step`.
-    """
-
-    overlaps = False
-
-    def __init__(self, num_threads: int = 1):
-        if num_threads < 1:
-            raise ValueError(f"need >= 1 worker thread, got {num_threads}")
-        self.num_threads = num_threads
-
-    def start_step(self, sim, rank: int) -> "WorkerPool":
-        return WorkerPool(sim, rank, self.num_threads)
 
 
 class WorkerPool:

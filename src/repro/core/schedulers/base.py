@@ -3,9 +3,9 @@
 :class:`SchedulerCore` is the common trunk of both scheduler families
 (:class:`~repro.core.schedulers.scheduler.SunwayScheduler` and
 :class:`~repro.core.schedulers.unified.UnifiedHostScheduler`): it owns
-the construction-time wiring — cost model, noise stream, selection
-policy, fault/resilience hooks, and the task-lifecycle event bus with
-its stats/trace/retry subscribers.  Concrete schedulers add a backend
+the construction-time wiring — cost model, selection policy,
+fault/resilience hooks, and the task-lifecycle event bus with its
+stats/trace/retry subscribers.  Concrete schedulers add a backend
 and the per-timestep orchestration; see ``docs/ARCHITECTURE.md``.
 """
 
@@ -188,7 +188,6 @@ class SchedulerCore:
         interference_simd: float = 0.50,
         scrub: bool = True,
         select_policy: str = "fifo",
-        noise=None,
         faults=None,
         resilience=None,
         telemetry=None,
@@ -216,11 +215,6 @@ class SchedulerCore:
         self.policy = resilience
         #: Scrub old-DW variables once their last consumer has read them.
         self.scrub = scrub
-        #: Machine-noise stream (paper Sec. VII-A instabilities); quiet
-        #: by default.
-        from repro.core.noise import NO_NOISE
-
-        self._noise = (noise if noise is not None else NO_NOISE).for_rank(rank)
         #: Ready-queue ordering strategy for step 3(b)ii "select a ready
         #: offloadable task" — see :mod:`repro.core.schedulers.selection`.
         self.select = make_policy(select_policy, graph, rank)

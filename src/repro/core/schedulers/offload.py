@@ -26,8 +26,8 @@ from repro.sunway.athread import CompletionFlag
 class InterferenceModel:
     """Accumulates MPE busy time overlapped with in-flight kernels.
 
-    ``on_mpe_busy`` is called for every charged MPE interval; while a
-    kernel is in flight the time adds to the debt pool, and the retiring
+    Every charged MPE interval (``SchedulerCore._mpe``) made while a
+    kernel is in flight adds to the debt pool, and the retiring
     kernel pays ``factor * pool`` as extra duration.  With several CPE
     groups the pooled debt goes to whichever kernel retires first (a
     pooled approximation; exact with one group).
@@ -38,10 +38,6 @@ class InterferenceModel:
         #: True while at least one kernel is offloaded.
         self.kernel_inflight = False
         self.overlap_busy = 0.0
-
-    def on_mpe_busy(self, cost: float) -> None:
-        if self.kernel_inflight:
-            self.overlap_busy += cost
 
     def take_debt(self) -> float:
         """Drain the pool and return the debt the retiring kernel pays."""
@@ -106,7 +102,7 @@ class OffloadEngine:
         """Clear the flag and offload ``nxt`` onto CPE ``group`` (3b iv)."""
         sched = self.sched
         sim = sched.sim
-        duration = sched._noise.kernel(sched.costs.cpe_kernel_time(nxt.task, nxt.patch))
+        duration = sched.costs.cpe_kernel_time(nxt.task, nxt.patch)
         self.flag.clear()
         t_launch = sim.now
         expected = sched.athread.launch_latency + duration

@@ -91,7 +91,6 @@ class SunwayScheduler(SchedulerCore):
         traced directly (not via lifecycle events): this is the hottest
         path in the DES loop and carries no task-state information.
         """
-        cost = self._noise.mpe(cost)
         t0 = self.sim.now
         yield self.sim.timeout(cost)
         im = self.interference_model

@@ -9,10 +9,10 @@ one MPE on each CG, which would limit the scheduler to one thread.  Thus
 the Unified Scheduler is not able to effectively overlap communications
 with computations without a new design."
 
-This module models that scheduler so the claim is measurable: a
-:class:`~repro.core.schedulers.backends.HostThreadPoolBackend` pool of
-``num_threads`` host worker threads executes ready tasks *and*
-interleaved communication work (ghost packing/unpacking, sends, local
+This module models that scheduler so the claim is measurable: a pool of
+``num_threads`` host worker threads (:class:`~repro.core.schedulers.
+backends.WorkerPool`) executes ready tasks *and* interleaved
+communication work (ghost packing/unpacking, sends, local
 copies, reductions) from one shared run queue.  The communication units
 come from the same :class:`~repro.core.schedulers.commengine.CommEngine`
 the Sunway scheduler uses, with the pool's run queue as its work sink.
@@ -22,7 +22,7 @@ cluster sits unused, because the Unified Scheduler predates the offload
 design.
 
 :class:`UnifiedHostScheduler` composes
-:class:`~repro.core.schedulers.base.SchedulerCore` with that backend —
+:class:`~repro.core.schedulers.base.SchedulerCore` with that pool —
 it shares the lifecycle/stats/trace wiring with
 :class:`~repro.core.schedulers.scheduler.SunwayScheduler` but is *not* a
 subclass of it (see ``docs/ARCHITECTURE.md``).  Use it through
@@ -33,7 +33,7 @@ subclass of it (see ``docs/ARCHITECTURE.md``).  Use it through
 from __future__ import annotations
 
 from repro.core.datawarehouse import DataWarehouse
-from repro.core.schedulers.backends import HostThreadPoolBackend
+from repro.core.schedulers.backends import WorkerPool
 from repro.core.schedulers.base import DeadlockError, SchedulerCore
 from repro.core.schedulers.commengine import CommEngine
 from repro.core.schedulers.lifecycle import TaskState
@@ -51,14 +51,12 @@ class UnifiedHostScheduler(SchedulerCore):
     """
 
     def __init__(self, *args, num_threads: int = 1, **kwargs):
+        if num_threads < 1:
+            raise ValueError(f"need >= 1 worker thread, got {num_threads}")
         kwargs["mode"] = "mpe_only"  # kernels run on host cores
         kwargs["scrub"] = False  # Uintah's scheduler keeps the old DW whole
         super().__init__(*args, **kwargs)
-        self.backend = HostThreadPoolBackend(num_threads)
-
-    @property
-    def num_threads(self) -> int:
-        return self.backend.num_threads
+        self.num_threads = num_threads
 
     def _host_fault_overhead(self, dt: DetailedTask, cost: float) -> float:
         """Extra host-core seconds an injected kernel fault costs here.
@@ -105,7 +103,7 @@ class UnifiedHostScheduler(SchedulerCore):
         sim, graph, rank = self.sim, self.graph, self.rank
         st = self._begin_step(step, time, dt_value, old_dw, new_dw, bootstrap)
         tracker = st.tracker
-        pool = self.backend.start_step(sim, rank)
+        pool = WorkerPool(sim, rank, self.num_threads)
         comm = CommEngine(self, st, sink=pool.push)
 
         def push_ready_tasks() -> None:
@@ -133,7 +131,6 @@ class UnifiedHostScheduler(SchedulerCore):
 
         # -- worker thread bodies ------------------------------------------
         def thread_mpe(tid: int, name: str, cost: float):
-            cost = self._noise.mpe(cost)
             t0 = sim.now
             yield sim.timeout(cost)
             self.trace.record(rank, f"thread{tid}", name, t0, sim.now)

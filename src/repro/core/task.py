@@ -142,11 +142,6 @@ class Task:
         self.computes.append(label)
         return self
 
-    @property
-    def offloadable(self) -> bool:
-        """Whether the kernel part goes to the CPE cluster."""
-        return self.kind is TaskKind.CPE_KERNEL
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Task {self.name} kind={self.kind.value}>"
 

@@ -154,12 +154,6 @@ class TilePlan:
             -(-p // t) for p, t in zip(self.patch_extent, self.tile_shape)
         )
 
-    @property
-    def num_tiles(self) -> int:
-        """Total tiles covering the patch."""
-        cx, cy, cz = self.tile_counts
-        return cx * cy * cz
-
     def tile_region(self, tile_index: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """Patch-local (low, high) of one tile, clipped to the patch."""
         low = []

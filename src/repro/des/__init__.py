@@ -19,7 +19,7 @@ inputs the event order is fully reproducible (ties in time are broken by a
 monotone sequence number, never by object identity).
 """
 
-from repro.des.event import Event, Timeout, Interrupt, all_of, any_of
+from repro.des.event import Event, Timeout, all_of, any_of
 from repro.des.process import Process
 from repro.des.simulator import Simulator
 from repro.des.resources import Store
@@ -27,7 +27,6 @@ from repro.des.resources import Store
 __all__ = [
     "Event",
     "Timeout",
-    "Interrupt",
     "all_of",
     "any_of",
     "Process",

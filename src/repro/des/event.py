@@ -15,17 +15,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.des.simulator import Simulator
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 #: Sentinel for "event has not yet been given a value".
 _PENDING = object()
 

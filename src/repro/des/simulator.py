@@ -80,10 +80,6 @@ class Simulator:
         heapq.heappush(self._queue, (self._now + delay, self._seq, item))
         self._seq += 1
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     def step(self) -> None:
         """Process exactly one scheduled event."""
         try:

@@ -75,8 +75,3 @@ class ResiliencePolicy:
     def kernel_timeout(self, expected: float) -> float:
         """Seconds after which an offloaded kernel is declared hung."""
         return max(self.kernel_timeout_floor, self.kernel_timeout_factor * expected)
-
-    def backoff(self, attempt: int, jitter_draw: float) -> float:
-        """Retransmission wait before attempt ``attempt`` (1-based)."""
-        base = self.mpi_backoff_base * (2.0 ** (attempt - 1))
-        return base * (1.0 + self.mpi_backoff_jitter * jitter_draw)

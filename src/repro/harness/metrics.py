@@ -34,33 +34,3 @@ def optimization_boost(baseline: ExperimentResult, optimized: ExperimentResult) 
 def speedup(base: ExperimentResult, scaled: ExperimentResult) -> float:
     """Raw strong-scaling speedup ``T_base / T_scaled``."""
     return base.time_per_step / scaled.time_per_step
-
-
-#: Counter fields that must all be zero in a fault-free experiment.
-RESILIENCE_COUNTERS = (
-    "kernel_timeouts",
-    "kernel_retries",
-    "mpe_fallbacks",
-    "mpi_retries",
-    "stragglers_detected",
-    "rank_recoveries",
-)
-
-
-def resilience_counters(result: ExperimentResult) -> dict[str, int]:
-    """The resilience counter block of one experiment, by name."""
-    return {name: getattr(result, name) for name in RESILIENCE_COUNTERS}
-
-
-def is_fault_free(result: ExperimentResult) -> bool:
-    """True when no recovery machinery fired (the structural invariant
-    of runs without an injector — asserted by the test suite)."""
-    return all(v == 0 for v in resilience_counters(result).values())
-
-
-def resilience_overhead(fault_free_time: float, faulty_time: float) -> float:
-    """Fractional slowdown of a faulty run vs. its fault-free reference:
-    ``T_faulty / T_fault_free - 1`` (0.0 means free recovery)."""
-    if fault_free_time <= 0:
-        raise ValueError("fault-free reference time must be positive")
-    return faulty_time / fault_free_time - 1.0

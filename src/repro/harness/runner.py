@@ -9,8 +9,7 @@ underlying sweep — the paper likewise derives Tables V-VII and Figs. 5-10
 from one set of runs.
 
 The paper repeats each case and takes the best result to mitigate machine
-instability; the DES is deterministic, so one run suffices and a
-``repeats`` knob exists only for API fidelity.
+instability; the DES is deterministic, so best-of-N is one run.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.burgers.component import BurgersProblem
-from repro.core.noise import NoiseModel
 from repro.core.controller import SimulationController, RunResult
 from repro.harness import calibration
 from repro.harness.problems import ProblemSetting, USABLE_BYTES_PER_CG
@@ -84,83 +82,67 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def run_experiment(
-    problem: ProblemSetting,
-    variant: Variant,
-    num_cgs: int,
-    nsteps: int = DEFAULT_NSTEPS,
-    repeats: int = 1,
-    with_reduction: bool = True,
-    noise: NoiseModel | None = None,
-) -> ExperimentResult:
-    """Run (or recall) one experimental case; returns its measurements.
-
-    With a :class:`~repro.core.noise.NoiseModel`, each repeat runs under
-    a different noise seed and the best (fastest) result is kept — the
-    paper's Sec. VII-A protocol.  Without noise the DES is deterministic
-    and one repeat suffices.
-    """
+def _run_case(problem, variant, num_cgs, nsteps, with_reduction, **controller_kwargs):
+    """Build the case's controller and run it; returns ``(result, dt)``."""
     if num_cgs < problem.min_cgs:
         raise ValueError(
             f"problem {problem.name} needs at least {problem.min_cgs} CGs "
             f"(memory), got {num_cgs}"
         )
-    key = (
-        problem.name,
-        variant.name,
-        variant.select_policy,
-        num_cgs,
-        nsteps,
-        with_reduction,
-        repeats,
-        noise,
+    sched_kwargs = calibration.scheduler_kwargs()
+    sched_kwargs["select_policy"] = variant.select_policy
+    grid = problem.grid()
+    burgers = BurgersProblem(grid, fast_exp=True, with_reduction=with_reduction)
+    controller = SimulationController(
+        grid,
+        burgers.tasks(),
+        burgers.init_tasks(),
+        num_ranks=num_cgs,
+        mode=variant.mode,
+        cost_model=variant.cost_model(),
+        real=False,
+        fabric_config=calibration.FABRIC,
+        scheduler_kwargs=sched_kwargs,
+        memory_limit_bytes=USABLE_BYTES_PER_CG,
+        **controller_kwargs,
     )
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
+    dt = burgers.stable_dt()
+    return controller.run(nsteps=nsteps, dt=dt), dt
 
-    best: RunResult | None = None
-    for rep in range(max(repeats, 1)):
-        sched_kwargs = calibration.scheduler_kwargs()
-        sched_kwargs["select_policy"] = variant.select_policy
-        if noise is not None:
-            sched_kwargs["noise"] = dataclasses.replace(noise, seed=noise.seed + rep)
-        grid = problem.grid()
-        burgers = BurgersProblem(grid, fast_exp=True, with_reduction=with_reduction)
-        controller = SimulationController(
-            grid,
-            burgers.tasks(),
-            burgers.init_tasks(),
-            num_ranks=num_cgs,
-            mode=variant.mode,
-            cost_model=variant.cost_model(),
-            real=False,
-            fabric_config=calibration.FABRIC,
-            scheduler_kwargs=sched_kwargs,
-            memory_limit_bytes=USABLE_BYTES_PER_CG,
-        )
-        res = controller.run(nsteps=nsteps, dt=burgers.stable_dt())
-        if best is None or res.time_per_step < best.time_per_step:
-            best = res
 
-    assert best is not None
-    out = ExperimentResult(
+def _experiment(problem, variant, num_cgs, nsteps, res: RunResult) -> ExperimentResult:
+    return ExperimentResult(
         problem=problem.name,
         variant=variant.name,
         num_cgs=num_cgs,
         nsteps=nsteps,
-        time_per_step=best.time_per_step,
-        flops_per_step=best.flops_per_step,
-        messages_per_step=best.messages_sent / nsteps,
-        bytes_per_step=best.bytes_sent / nsteps,
-        kernel_timeouts=best.stats.kernel_timeouts,
-        kernel_retries=best.stats.kernel_retries,
-        mpe_fallbacks=best.stats.mpe_fallbacks,
-        mpi_retries=best.stats.mpi_retries,
-        stragglers_detected=best.stats.stragglers_detected,
-        rank_recoveries=best.stats.rank_recoveries,
+        time_per_step=res.time_per_step,
+        flops_per_step=res.flops_per_step,
+        messages_per_step=res.messages_sent / nsteps,
+        bytes_per_step=res.bytes_sent / nsteps,
+        kernel_timeouts=res.stats.kernel_timeouts,
+        kernel_retries=res.stats.kernel_retries,
+        mpe_fallbacks=res.stats.mpe_fallbacks,
+        mpi_retries=res.stats.mpi_retries,
+        stragglers_detected=res.stats.stragglers_detected,
+        rank_recoveries=res.stats.rank_recoveries,
     )
-    _CACHE[key] = out
+
+
+def run_experiment(
+    problem: ProblemSetting,
+    variant: Variant,
+    num_cgs: int,
+    nsteps: int = DEFAULT_NSTEPS,
+    with_reduction: bool = True,
+) -> ExperimentResult:
+    """Run (or recall) one experimental case; returns its measurements."""
+    key = (problem.name, variant.name, variant.select_policy, num_cgs, nsteps, with_reduction)
+    hit = _CACHE.get(key)
+    if hit is not None:
+        return hit
+    res, _ = _run_case(problem, variant, num_cgs, nsteps, with_reduction)
+    out = _CACHE[key] = _experiment(problem, variant, num_cgs, nsteps, res)
     return out
 
 
@@ -170,7 +152,6 @@ def run_instrumented(
     num_cgs: int,
     nsteps: int = DEFAULT_NSTEPS,
     with_reduction: bool = True,
-    noise: NoiseModel | None = None,
     created_at: str | None = None,
 ) -> InstrumentedRun:
     """Run one case with tracing and telemetry on; returns the full bundle.
@@ -185,34 +166,10 @@ def run_instrumented(
     from repro.telemetry import RunTelemetry, build_ledger
     from repro.telemetry.ledger import git_revision
 
-    if num_cgs < problem.min_cgs:
-        raise ValueError(
-            f"problem {problem.name} needs at least {problem.min_cgs} CGs "
-            f"(memory), got {num_cgs}"
-        )
     telemetry = RunTelemetry()
-    sched_kwargs = calibration.scheduler_kwargs()
-    sched_kwargs["select_policy"] = variant.select_policy
-    if noise is not None:
-        sched_kwargs["noise"] = noise
-    grid = problem.grid()
-    burgers = BurgersProblem(grid, fast_exp=True, with_reduction=with_reduction)
-    controller = SimulationController(
-        grid,
-        burgers.tasks(),
-        burgers.init_tasks(),
-        num_ranks=num_cgs,
-        mode=variant.mode,
-        cost_model=variant.cost_model(),
-        real=False,
-        fabric_config=calibration.FABRIC,
-        trace_enabled=True,
-        scheduler_kwargs=sched_kwargs,
-        memory_limit_bytes=USABLE_BYTES_PER_CG,
-        telemetry=telemetry,
+    result, dt = _run_case(
+        problem, variant, num_cgs, nsteps, with_reduction, trace_enabled=True, telemetry=telemetry
     )
-    dt = burgers.stable_dt()
-    result = controller.run(nsteps=nsteps, dt=dt)
     manifest = {
         "problem": problem.name,
         "variant": variant.name,
@@ -221,7 +178,6 @@ def run_instrumented(
         "nsteps": nsteps,
         "dt": dt,
         "t0": 0.0,
-        "noise_seed": noise.seed if noise is not None else None,
         "git_rev": git_revision(),
         "created_at": (
             created_at
@@ -230,22 +186,9 @@ def run_instrumented(
         ),
     }
     ledger = build_ledger(result, telemetry, manifest)
-    experiment = ExperimentResult(
-        problem=problem.name,
-        variant=variant.name,
-        num_cgs=num_cgs,
-        nsteps=nsteps,
-        time_per_step=result.time_per_step,
-        flops_per_step=result.flops_per_step,
-        messages_per_step=result.messages_sent / nsteps,
-        bytes_per_step=result.bytes_sent / nsteps,
-        kernel_timeouts=result.stats.kernel_timeouts,
-        kernel_retries=result.stats.kernel_retries,
-        mpe_fallbacks=result.stats.mpe_fallbacks,
-        mpi_retries=result.stats.mpi_retries,
-        stragglers_detected=result.stats.stragglers_detected,
-        rank_recoveries=result.stats.rank_recoveries,
-    )
     return InstrumentedRun(
-        experiment=experiment, result=result, telemetry=telemetry, ledger=ledger
+        experiment=_experiment(problem, variant, num_cgs, nsteps, result),
+        result=result,
+        telemetry=telemetry,
+        ledger=ledger,
     )

@@ -10,8 +10,8 @@ discrete-event simulator:
   time = ``latency + software overhead + bytes / bandwidth`` once *both*
   sides have posted; message matching by ``(source, dest, tag)``.
 * :class:`~repro.simmpi.comm.Comm` — per-rank communicator with
-  ``isend`` / ``irecv`` / ``test`` / ``wait`` and non-blocking
-  collectives (``iallreduce``, ``ibarrier``).
+  ``isend`` / ``irecv`` and non-blocking collectives (``iallreduce``,
+  ``ibarrier``); a request's ``complete`` flag is the ``MPI_Test`` probe.
 
 Progression semantics: the paper stresses (citing Denis & Trahay) that
 non-blocking transfers "do not progress without the help of the host

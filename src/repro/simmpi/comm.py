@@ -6,7 +6,7 @@ import operator
 import typing as _t
 
 from repro.simmpi.network import Fabric
-from repro.simmpi.request import SendRequest, RecvRequest, CollectiveRequest, all_complete
+from repro.simmpi.request import SendRequest, RecvRequest, CollectiveRequest
 
 
 class Comm:
@@ -57,9 +57,3 @@ class Comm:
         epoch = self._barrier_epoch
         self._barrier_epoch += 1
         return self.fabric.post_barrier(self.rank, epoch)
-
-    # -- conveniences ---------------------------------------------------------------
-    @staticmethod
-    def testall(requests: _t.Iterable) -> bool:
-        """True when every request is complete."""
-        return all_complete(requests)

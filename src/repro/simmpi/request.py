@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.des import Simulator
 from repro.des.event import Event
 
@@ -12,9 +10,10 @@ class Request:
     """Base class: a pending non-blocking MPI operation.
 
     A request owns a DES :attr:`event` that fires at the operation's
-    completion time.  ``test()`` is the *host-side* observation: it
-    returns True only if the completion time has been reached — calling
-    it is how a rank "progresses" MPI in the sense of the paper.
+    completion time.  :attr:`complete` is the *host-side* observation
+    (``MPI_Test``): it is True only once the completion time has been
+    reached — reading it is how a rank "progresses" MPI in the sense of
+    the paper.
     """
 
     def __init__(self, sim: Simulator, kind: str, tag: int):
@@ -28,10 +27,6 @@ class Request:
     def complete(self) -> bool:
         """Whether the operation has finished (event fired)."""
         return self.event.triggered
-
-    def test(self) -> bool:
-        """Non-blocking completion probe, like ``MPI_Test``."""
-        return self.complete
 
     @property
     def value(self) -> object:
@@ -70,13 +65,3 @@ class CollectiveRequest(Request):
     def __init__(self, sim: Simulator, kind: str, epoch: int):
         super().__init__(sim, kind, tag=epoch)
         self.epoch = epoch
-
-
-def all_complete(requests: _t.Iterable[Request]) -> bool:
-    """True if every request in ``requests`` is complete (``MPI_Testall``)."""
-    return all(r.complete for r in requests)
-
-
-def completed_subset(requests: _t.Iterable[Request]) -> list[Request]:
-    """The completed subset of ``requests`` (``MPI_Testsome``)."""
-    return [r for r in requests if r.complete]

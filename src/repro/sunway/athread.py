@@ -157,11 +157,6 @@ class AthreadRuntime:
         #: Rank this core-group belongs to (fault-stream attribution).
         self.rank = 0
 
-    @property
-    def cpes_per_group(self) -> int:
-        """CPEs available to each offload group."""
-        return self.config.num_cpes // self.num_groups
-
     def busy(self, group: int = 0) -> bool:
         """Whether ``group`` currently has a kernel in flight."""
         handle = self._busy[group]
@@ -265,8 +260,3 @@ class AthreadRuntime:
         handle.aborted = True
         self._busy[group] = None
         return handle
-
-    @property
-    def spawn_count(self) -> int:
-        """Total kernels ever launched on this runtime."""
-        return self._spawn_count

@@ -42,11 +42,6 @@ class CoreGroupConfig:
         """Total CG peak = MPE + CPE cluster (765.6 Gflop/s)."""
         return self.mpe_peak_flops + self.cpe_cluster_peak_flops
 
-    @property
-    def cpe_peak_flops(self) -> float:
-        """Peak of a single CPE (11.6 Gflop/s)."""
-        return self.cpe_cluster_peak_flops / self.num_cpes
-
 
 @dataclasses.dataclass(frozen=True)
 class InterconnectConfig:
@@ -83,15 +78,6 @@ class SunwayMachine:
     def total_cores(self) -> int:
         """MPE + CPE cores across the partition (260 per 4-CG node)."""
         return self.num_cgs * (1 + self.core_group.num_cpes)
-
-    @property
-    def total_memory_bytes(self) -> int:
-        """Aggregate main memory across the partition."""
-        return self.num_cgs * self.core_group.memory_bytes
-
-    def with_cgs(self, num_cgs: int) -> "SunwayMachine":
-        """A copy of this machine resized to ``num_cgs`` core-groups."""
-        return dataclasses.replace(self, num_cgs=num_cgs)
 
 
 #: The canonical SW26010 core-group, shared by most experiments.

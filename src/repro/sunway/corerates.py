@@ -37,31 +37,17 @@ class KernelCost:
     """Per-cell cost description of a numerical kernel.
 
     The Burgers kernel's values (Sec. III-A of the paper) are ~95
-    non-exponential flops and 6 exponentials per cell, 16 bytes of
-    compulsory main-memory traffic per cell.
+    non-exponential flops and 6 exponentials per cell.
     """
 
     #: Non-exponential flops per cell (stencil + phi arithmetic).
     stencil_flops: int
     #: Exponential evaluations per cell.
     exp_calls: int
-    #: Compulsory main-memory bytes read per cell.
-    bytes_read: int = 8
-    #: Compulsory main-memory bytes written per cell.
-    bytes_written: int = 8
 
     def flops_per_cell(self, fast_exp: bool = True) -> int:
         """Counted flops per cell under the chosen exp library."""
         return self.stencil_flops + self.exp_calls * exp_flops(fast_exp)
-
-    @property
-    def bytes_per_cell(self) -> int:
-        """Compulsory memory traffic per cell."""
-        return self.bytes_read + self.bytes_written
-
-    def arithmetic_intensity(self, fast_exp: bool = True) -> float:
-        """Flops per compulsory byte (paper Sec. III-A: ~19.4 for Burgers)."""
-        return self.flops_per_cell(fast_exp) / self.bytes_per_cell
 
 
 @dataclasses.dataclass(frozen=True)

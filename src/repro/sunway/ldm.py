@@ -53,7 +53,6 @@ class LDM:
         self.capacity = int(capacity)
         self._blocks: dict[str, LDMBlock] = {}
         self._used = 0
-        self._high_water = 0
 
     # -- accounting ----------------------------------------------------------
     @property
@@ -65,11 +64,6 @@ class LDM:
     def free(self) -> int:
         """Bytes currently available."""
         return self.capacity - self._used
-
-    @property
-    def high_water(self) -> int:
-        """Largest total allocation ever held (for working-set reports)."""
-        return self._high_water
 
     def blocks(self) -> list[LDMBlock]:
         """Live allocations, in allocation order."""
@@ -99,7 +93,6 @@ class LDM:
         block = LDMBlock(name=name, nbytes=nbytes, offset=self._used)
         self._blocks[name] = block
         self._used += nbytes
-        self._high_water = max(self._high_water, self._used)
         return block
 
     def alloc_array(self, name: str, shape: tuple[int, ...], itemsize: int = 8) -> LDMBlock:

@@ -84,10 +84,6 @@ class FlopCounter:
             r.exp_calls += exps * times
             r.exp_flops += exps * times * exp_flops(self.fast_exp)
 
-    def count_fma(self, times: int = 1) -> None:
-        """A fused multiply-add: 2 flops (1 mul + 1 add)."""
-        self.count(adds=1, muls=1, times=times)
-
     # -- reporting -----------------------------------------------------------
     @property
     def total(self) -> int:

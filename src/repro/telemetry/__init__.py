@@ -5,8 +5,8 @@ scheduler wins by *overlap* — so the runtime must be able to answer
 "where did the time go, per timestep, per lane, per task?" on any run,
 not just inside the test suite.  This package is that answer:
 
-* :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` of counters,
-  gauges and histograms (p50/p95/max), fed by lifecycle-bus subscribers
+* :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` of counters
+  and histograms (p50/p95/max), fed by lifecycle-bus subscribers
   plus explicit hooks in the comm/offload engines, the DMA cost model
   and the simulated fabric;
 * :mod:`repro.telemetry.collect` — :class:`RunTelemetry`, one run's
@@ -14,8 +14,7 @@ not just inside the test suite.  This package is that answer:
   buckets attributed by the per-rank :class:`TelemetrySubscriber`;
 * :mod:`repro.telemetry.ledger` — :class:`RunLedger`, the per-timestep
   JSONL record (wall/sim time, lane busy seconds, overlap fraction,
-  comm-wait, metric deltas) with a provenance manifest, plus
-  :func:`compare_ledgers` for regression gating;
+  comm-wait, metric deltas) with a provenance manifest;
 * :mod:`repro.telemetry.analyzer` — folds :class:`~repro.core.trace.
   Tracer` spans and the ledger into per-rank time accounting
   (kernel / pack / unpack / MPI-wait / idle) and a per-timestep
@@ -31,12 +30,11 @@ See ``docs/OBSERVABILITY.md`` for the metric catalog and ledger schema.
 
 from repro.telemetry.analyzer import RunAnalysis, analyze
 from repro.telemetry.collect import RunTelemetry, TelemetrySubscriber
-from repro.telemetry.ledger import LedgerStep, RunLedger, build_ledger, compare_ledgers
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.ledger import LedgerStep, RunLedger, build_ledger
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "RunTelemetry",
@@ -44,7 +42,6 @@ __all__ = [
     "RunLedger",
     "LedgerStep",
     "build_ledger",
-    "compare_ledgers",
     "RunAnalysis",
     "analyze",
 ]

@@ -6,9 +6,8 @@ paper's Sec. VII-C quantity), comm-wait, and the step's metric deltas
 (messages, bytes, flops, kernels, resilience events) summed over ranks.
 The ledger serializes to JSONL — a ``manifest`` provenance line, one
 ``step`` line per timestep, a closing ``metrics`` line with the
-registry snapshot — so runs can be archived, diffed, and regression-
-gated with :func:`compare_ledgers` on *overlap fraction*, not just wall
-time.
+registry snapshot — so runs can be archived and diffed on *overlap
+fraction*, not just wall time.
 
 Determinism contract: the DES is deterministic, so two identical runs
 produce byte-identical ledgers except for the manifest's ``created_at``
@@ -120,10 +119,6 @@ class RunLedger:
     def total_comm_wait(self) -> float:
         return sum(sum(s.comm_wait) for s in self.steps)
 
-    def overlap_per_rank(self, rank: int) -> float:
-        """Total overlapped seconds of one rank across all steps."""
-        return sum(s.overlap[rank] for s in self.steps)
-
     # ------------------------------------------------------------ (de)serialize
     def to_jsonl(self) -> str:
         lines = [json.dumps({"kind": "manifest", **self.manifest}, sort_keys=True)]
@@ -212,49 +207,3 @@ def build_ledger(result, telemetry, manifest: dict) -> RunLedger:
         prev_global = cur_global
     metrics = telemetry.registry.snapshot() if telemetry else {}
     return RunLedger(manifest=manifest, steps=steps, metrics=metrics)
-
-
-def compare_ledgers(
-    baseline: RunLedger,
-    candidate: RunLedger,
-    max_wall_ratio: float = 1.05,
-    min_overlap_delta: float = -0.05,
-    max_comm_wait_ratio: float = 1.10,
-) -> list[str]:
-    """Regression-check ``candidate`` against ``baseline``.
-
-    Returns a list of human-readable violations (empty = pass):
-
-    * total wall time must not exceed ``baseline * max_wall_ratio``;
-    * mean overlap fraction must not fall more than
-      ``-min_overlap_delta`` below the baseline (the paper's async win
-      must not silently erode even when wall time still looks fine);
-    * total comm-wait must not exceed ``baseline * max_comm_wait_ratio``.
-
-    Benchmarks gate on this so perf PRs are judged on *why* the time
-    went, not just how much of it.
-    """
-    issues: list[str] = []
-    bw, cw = baseline.total_wall, candidate.total_wall
-    if bw > 0 and cw > bw * max_wall_ratio:
-        issues.append(
-            f"wall time regressed: {cw:.6g}s vs baseline {bw:.6g}s "
-            f"(> {max_wall_ratio:.2f}x)"
-        )
-    bo, co = baseline.mean_overlap_fraction, candidate.mean_overlap_fraction
-    if co - bo < min_overlap_delta:
-        issues.append(
-            f"overlap fraction dropped: {co:.3f} vs baseline {bo:.3f} "
-            f"(delta {co - bo:+.3f} < {min_overlap_delta:+.3f})"
-        )
-    bcw, ccw = baseline.total_comm_wait, candidate.total_comm_wait
-    if bcw > 0 and ccw > bcw * max_comm_wait_ratio:
-        issues.append(
-            f"comm-wait regressed: {ccw:.6g}s vs baseline {bcw:.6g}s "
-            f"(> {max_comm_wait_ratio:.2f}x)"
-        )
-    if baseline.steps and candidate.steps and len(baseline.steps) != len(candidate.steps):
-        issues.append(
-            f"step count differs: {len(candidate.steps)} vs baseline {len(baseline.steps)}"
-        )
-    return issues

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms.
+"""The metrics registry: counters and histograms.
 
 Deliberately small and dependency-free — the registry sits behind hook
 sites inside the hottest DES loops, so instruments are plain Python
@@ -30,24 +30,6 @@ class Counter:
 
     def snapshot(self):
         return self.value
-
-
-class Gauge:
-    """A point-in-time level; remembers the last and the maximum set."""
-
-    __slots__ = ("value", "max")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self.max = 0.0
-
-    def set(self, v) -> None:
-        self.value = v
-        if v > self.max:
-            self.max = v
-
-    def snapshot(self) -> dict:
-        return {"last": self.value, "max": self.max}
 
 
 class Histogram:
@@ -118,7 +100,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter | Histogram] = {}
 
     def _get(self, name: str, cls):
         m = self._metrics.get(name)
@@ -134,9 +116,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
@@ -146,9 +125,6 @@ class MetricsRegistry:
 
     def observe(self, name: str, x: float) -> None:
         self.histogram(name).observe(x)
-
-    def set_gauge(self, name: str, v) -> None:
-        self.gauge(name).set(v)
 
     # -- reporting -----------------------------------------------------------
     def names(self) -> list[str]:

@@ -75,12 +75,6 @@ class ReproBundle:
         path.write_text(self.to_json() + "\n")
         return path
 
-    @classmethod
-    def read(cls, path: str | pathlib.Path) -> "ReproBundle":
-        data = json.loads(pathlib.Path(path).read_text())
-        data.pop("command", None)  # derived property
-        return cls(**data)
-
     def render(self) -> str:
         """Human-readable failure card."""
         lines = [

@@ -28,7 +28,6 @@ bit-identical to an unvalidated one (enforced by
 from __future__ import annotations
 
 import collections
-import typing as _t
 
 from repro.core.schedulers.lifecycle import _ALLOWED, LifecycleEvent, TaskState
 from repro.sunway.ldm import DEFAULT_LDM_BYTES, LDMAllocationError
@@ -142,10 +141,6 @@ class ScheduleValidator:
     def ok(self) -> bool:
         """Whether the run (so far) is violation-free."""
         return not self.violations
-
-    @property
-    def first_violation(self) -> Violation | None:
-        return self.violations[0] if self.violations else None
 
     def report(self) -> dict:
         """Summary dict: counts per invariant plus the full list."""

@@ -31,7 +31,7 @@ from repro.sunway.corerates import KernelCost
 
 #: 7-point Laplacian + Euler update, no exponentials:
 #: 3 axes x (2 add + 1 mul + 1 mul) + 2-add combine + nu mul + update 2.
-HEAT_KERNEL_COST = KernelCost(stencil_flops=17, exp_calls=0, bytes_read=8, bytes_written=8)
+HEAT_KERNEL_COST = KernelCost(stencil_flops=17, exp_calls=0)
 
 
 def heat_exact(grid: Grid, region: Region, t: float, alpha: float) -> np.ndarray:

@@ -1,19 +1,23 @@
 """Tests for the Burgers flop model (Table I) and the simulation component."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
-from repro.burgers.component import BurgersProblem
+from repro.burgers.component import BurgersProblem, max_keep_nan
 from repro.burgers.flops import (
     BURGERS_KERNEL_COST,
     EXPS_PER_CELL,
     NONEXP_FLOPS_PER_CELL,
     count_kernel_flops,
-    flops_per_interior_cell,
     grid_ghosted_cells,
     table1_row,
 )
+from repro.core.controller import SimulationController
 from repro.core.grid import Grid
+from repro.core.schedulers.unified import UnifiedHostScheduler
 from repro.core.task import TaskKind
 from repro.sunway.perfcounters import FlopCounter
 
@@ -21,7 +25,7 @@ from repro.sunway.perfcounters import FlopCounter
 # -- flop model -------------------------------------------------------------------
 
 def test_flops_per_cell_is_paper_311():
-    assert flops_per_interior_cell(fast_exp=True) == 311
+    assert BURGERS_KERNEL_COST.flops_per_cell(fast_exp=True) == 311
 
 
 def test_exp_share_matches_paper():
@@ -45,11 +49,6 @@ def test_nonexp_budget():
     assert NONEXP_FLOPS_PER_CELL == 95
     assert BURGERS_KERNEL_COST.stencil_flops == 95
     assert BURGERS_KERNEL_COST.exp_calls == 6
-
-
-def test_arithmetic_intensity_19_4():
-    """Sec. III-A: ~19.4 flop/byte at 16 bytes per cell."""
-    assert BURGERS_KERNEL_COST.arithmetic_intensity() == pytest.approx(19.4, abs=0.1)
 
 
 def test_ghosted_cells_matches_paper_totals():
@@ -91,6 +90,41 @@ def test_component_without_reduction():
     grid = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
     prob = BurgersProblem(grid, with_reduction=False)
     assert [t.name for t in prob.tasks()] == ["timeAdvance"]
+
+
+@pytest.mark.parametrize("unified", [False, True], ids=["sunway", "unified"])
+@pytest.mark.parametrize("where", ["rank0-second-patch", "rank1"])
+def test_unorm_reduction_propagates_nan(where, unified):
+    """A NaN patch norm must not hide behind a finite one, neither in a
+    rank's local fold (NaN on its second patch) nor in the rank-order
+    allreduce (NaN on rank 1 of 2)."""
+    grid = Grid(extent=(8, 8, 8), layout=(2, 2, 1))
+    prob = BurgersProblem(grid)
+    tasks = prob.tasks()
+    norm = next(t for t in tasks if t.name == "uNorm")
+    finite, bad = norm.action, set()
+
+    def nan_on_bad_patches(ctx):
+        return math.nan if ctx.patch.patch_id in bad else finite(ctx)
+
+    norm.action = nan_on_bad_patches
+    factory = functools.partial(UnifiedHostScheduler, num_threads=2) if unified else None
+    ctl = SimulationController(
+        grid, tasks, prob.init_tasks(), num_ranks=2, scheduler_factory=factory
+    )
+    owned = [sorted(p for p, r in ctl.assignment.items() if r == rank) for rank in (0, 1)]
+    bad.add(owned[0][1] if where == "rank0-second-patch" else owned[1][0])
+    res = ctl.run(nsteps=1, dt=prob.stable_dt())
+    norms = [dw.get_reduction(prob.norm_label) for dw in res.final_dws]
+    assert len(norms) == 2 and all(math.isnan(v) for v in norms)
+
+
+def test_max_keep_nan_equals_max_without_nan():
+    pairs = [(0.5, 0.25), (0.25, 0.5), (1.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (-math.inf, 2.0)]
+    for a, b in pairs:
+        got, want = max_keep_nan(a, b), max(a, b)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert math.isnan(max_keep_nan(math.nan, 1.0)) and math.isnan(max_keep_nan(1.0, math.nan))
 
 
 def test_component_rejects_unknown_kernel_impl():

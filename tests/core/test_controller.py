@@ -1,5 +1,7 @@
 """Tests for the simulation controller itself."""
 
+import math
+
 import pytest
 
 from repro.burgers import BurgersProblem
@@ -44,6 +46,31 @@ def test_nsteps_validation():
     _, prob, ctl = make_controller()
     with pytest.raises(ValueError):
         ctl.run(nsteps=0, dt=1e-3)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"dt": -math.inf},
+        {"dt": 0.0},
+        {"dt": -1e-3},
+        {"t0": math.nan},
+        {"t0": -math.inf},
+        {"start_step": -1},
+    ],
+    ids=repr,
+)
+def test_run_rejects_meaningless_time_arguments(bad):
+    """A NaN, infinite, zero or negative ``dt``, a non-finite ``t0`` or a
+    negative ``start_step`` raises a ValueError naming the argument before
+    anything is simulated."""
+    _, _, ctl = make_controller(real=False)
+    (name,) = bad
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        ctl.run(**{"nsteps": 1, "dt": 1e-3, **bad})
+    assert ctl.sim.now == 0.0
 
 
 def test_init_with_ghost_requirements_rejected():
@@ -124,34 +151,6 @@ def test_custom_balancer_changes_assignment():
     _, prob, ctl_sfc = make_controller(balancer="sfc", num_ranks=4)
     _, _, ctl_rr = make_controller(balancer="roundrobin", num_ranks=4)
     assert ctl_sfc.assignment != ctl_rr.assignment
-
-
-def test_noise_reproducible_per_seed():
-    """Same seed -> identical noisy timings; different seed -> different."""
-    from repro.core.noise import NoiseModel
-
-    def run_with(seed):
-        _, prob, ctl = make_controller(
-            real=False,
-            scheduler_kwargs={"noise": NoiseModel(seed=seed, kernel_cv=0.15, mpe_cv=0.1)},
-        )
-        return ctl.run(nsteps=2, dt=1e-3).time_per_step
-
-    assert run_with(3) == run_with(3)
-    assert run_with(3) != run_with(4)
-
-
-def test_noise_only_slows_down():
-    from repro.core.noise import NoiseModel
-
-    _, prob, quiet_ctl = make_controller(real=False)
-    quiet = quiet_ctl.run(nsteps=2, dt=1e-3).time_per_step
-    _, _, noisy_ctl = make_controller(
-        real=False,
-        scheduler_kwargs={"noise": NoiseModel(seed=1, kernel_cv=0.3, mpe_cv=0.3)},
-    )
-    noisy = noisy_ctl.run(nsteps=2, dt=1e-3).time_per_step
-    assert noisy > quiet
 
 
 def test_run_reports_its_own_des_event_count(monkeypatch):

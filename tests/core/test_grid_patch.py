@@ -41,9 +41,10 @@ def test_region_grown():
 
 def test_region_contains_and_cells_iter():
     r = Region((0, 0, 0), (2, 2, 1))
-    assert r.contains((1, 1, 0))
-    assert not r.contains((2, 0, 0))
-    assert len(list(r.cells())) == 4
+    cells = set(r.cells())
+    assert (1, 1, 0) in cells
+    assert (2, 0, 0) not in cells
+    assert len(cells) == 4
 
 
 # -- Grid geometry ----------------------------------------------------------------
@@ -105,12 +106,6 @@ def test_face_and_ghost_regions_are_adjacent():
     # right patch's low-x ghost region == left patch's high-x face region
     assert right.ghost_region(0, -1) == left.face_region(0, +1)
     assert left.ghost_region(0, +1) == right.face_region(0, -1)
-
-
-def test_surface_cells():
-    g = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
-    p = g.patch((0, 0, 0))  # 4x4x4 patch
-    assert p.surface_cells == 4**3 - 2**3
 
 
 def test_memory_bytes_matches_table3():

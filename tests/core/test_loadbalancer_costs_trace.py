@@ -53,13 +53,6 @@ def test_sfc_keeps_ranks_spatially_compact():
     assert sfc < rr
 
 
-def test_rank_patches_helper():
-    assignment = LoadBalancer("block").assign(GRID, 4)
-    mine = LoadBalancer.rank_patches(assignment, 0)
-    assert mine == sorted(mine)
-    assert all(assignment[p] == 0 for p in mine)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         LoadBalancer("magic")

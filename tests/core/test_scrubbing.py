@@ -89,7 +89,6 @@ def test_scrub_delegates_to_scrub_named():
 
     assert dw.scrub(label, patch) is True  # removed
     assert not dw.exists(label, patch)
-    assert dw.was_scrubbed("u", patch.patch_id)
     with pytest.raises(KeyError, match="double-scrub"):
         dw.scrub(label, patch)
     with pytest.raises(KeyError, match="double-scrub"):

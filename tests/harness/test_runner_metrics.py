@@ -144,35 +144,12 @@ def test_memory_crash_mechanism_matches_paper():
     )
 
 
-def test_noisy_repeats_take_best(quick):
-    """With machine noise, best-of-N approaches the quiet-machine time
-    from above (paper Sec. VII-A protocol)."""
-    from repro.core.noise import NoiseModel
-
-    clean = quick(SMALL, "acc.async", 4)
-    noisy1 = run_experiment(
-        SMALL, variant_by_name("acc.async"), 4, nsteps=3,
-        noise=NoiseModel(seed=7, kernel_cv=0.2, mpe_cv=0.2), repeats=1,
-    )
-    noisy5 = run_experiment(
-        SMALL, variant_by_name("acc.async"), 4, nsteps=3,
-        noise=NoiseModel(seed=7, kernel_cv=0.2, mpe_cv=0.2), repeats=5,
-    )
-    assert noisy1.time_per_step > clean.time_per_step  # noise only slows
-    assert noisy5.time_per_step <= noisy1.time_per_step  # best-of-5 helps
-    assert noisy5.time_per_step >= clean.time_per_step  # but never beats quiet
-
-
 def test_experiments_are_fault_free(quick):
     """Without an injector no recovery machinery may ever fire — the
     resilience counter block is structurally zero."""
     r = quick(SMALL, "acc.async", 4)
-    assert metrics.is_fault_free(r)
-    assert all(v == 0 for v in metrics.resilience_counters(r).values())
-
-
-def test_resilience_overhead_metric():
-    assert metrics.resilience_overhead(2.0, 2.5) == pytest.approx(0.25)
-    assert metrics.resilience_overhead(2.0, 2.0) == 0.0
-    with pytest.raises(ValueError):
-        metrics.resilience_overhead(0.0, 1.0)
+    counters = (
+        r.kernel_timeouts, r.kernel_retries, r.mpe_fallbacks,
+        r.mpi_retries, r.stragglers_detected, r.rank_recoveries,
+    )
+    assert counters == (0,) * 6

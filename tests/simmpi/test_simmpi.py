@@ -6,7 +6,6 @@ import pytest
 
 from repro.des import Simulator
 from repro.simmpi import Fabric, FabricConfig, Comm
-from repro.simmpi.request import all_complete, completed_subset
 
 
 def make_world(num_ranks, **cfg):
@@ -218,19 +217,6 @@ def test_barrier_releases_all_at_once():
     sim.run()
     assert len(set(times)) == 1
     assert times[0] >= 2.0
-
-
-# -- request helpers ------------------------------------------------------------------
-
-def test_testall_and_testsome():
-    sim, fabric, (c0, c1) = make_world(2)
-    c0.isend(dest=1, tag=0, nbytes=8, payload="x")
-    r_done = c1.irecv(source=0, tag=0)
-    r_pending = c1.irecv(source=0, tag=99)
-    sim.run()
-    assert not all_complete([r_done, r_pending])
-    assert completed_subset([r_done, r_pending]) == [r_done]
-    assert Comm.testall([r_done])
 
 
 # -- NIC serialization (link contention model) ---------------------------------------

@@ -65,9 +65,9 @@ def test_spawn_while_busy_raises():
         rt.spawn(duration=1.0)
     sim.run()
     # after completion, group is free again
-    rt.spawn(duration=1.0)
+    handle = rt.spawn(duration=1.0)
     sim.run()
-    assert rt.spawn_count == 2
+    assert handle.done
 
 
 def test_on_complete_runs_at_completion_time():
@@ -83,7 +83,6 @@ def test_on_complete_runs_at_completion_time():
 def test_cpe_grouping_extension():
     sim = Simulator()
     rt = AthreadRuntime(sim, num_groups=4)
-    assert rt.cpes_per_group == 16
     # groups are independent engines
     h0 = rt.spawn(duration=1.0, group=0)
     h1 = rt.spawn(duration=2.0, group=1)

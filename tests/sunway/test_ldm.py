@@ -70,14 +70,6 @@ def test_burgers_tile_working_set_fits_as_in_paper():
     assert ldm.free > 0
 
 
-def test_high_water_mark_persists_through_reset():
-    ldm = LDM(1000)
-    ldm.alloc("a", 700)
-    ldm.reset()
-    assert ldm.used == 0
-    assert ldm.high_water == 700
-
-
 def test_fits_probe():
     ldm = LDM(100)
     ldm.alloc("a", 90)

@@ -118,12 +118,6 @@ def test_exp_expands_to_library_flops():
     assert ieee.total == 6 * IEEE_EXP_FLOPS
 
 
-def test_fma_counts_two():
-    c = FlopCounter()
-    c.count_fma(times=5)
-    assert c.total == 10
-
-
 def test_exp_share():
     c = FlopCounter()
     c.count(adds=95, exps=6)

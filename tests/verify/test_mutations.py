@@ -148,8 +148,8 @@ def test_first_violation_yields_a_working_repro_bundle(recorded_run):
     idx, _ = _transitions(events, TaskState.DISPATCHED)[0]
     del events[idx]
     v = _replayed(recorded_run, events)
-    violation = v.first_violation
-    assert violation is not None
+    assert v.violations
+    violation = v.violations[0]
     bundle = ReproBundle(
         failure=violation.invariant,
         mode="async",

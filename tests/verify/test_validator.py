@@ -55,7 +55,7 @@ def test_event_for_unregistered_task_is_unknown_task():
     ghost = types.SimpleNamespace(dt_id=999, name="ghost", patch=None)
     rv(LifecycleEvent("transition", ghost, TaskState.READY, 1.0, {}))
     assert [x.invariant for x in v.violations] == ["unknown-task"]
-    assert v.first_violation.task == "ghost"
+    assert v.violations[0].task == "ghost"
 
 
 def test_strict_mode_raises_at_first_violation():
@@ -128,7 +128,7 @@ def test_flag_undercount_found_at_finalization():
     audit.on_faaw(None, 0, 1)  # only one of the two kernels bumped
     v.finish()
     assert [x.invariant for x in v.violations] == ["flag-undercount"]
-    assert "1 time(s)" in v.first_violation.detail
+    assert "1 time(s)" in v.violations[0].detail
 
 
 def test_flag_matching_counts_are_clean():
@@ -155,7 +155,7 @@ def test_dw_read_before_put_is_attributed():
     with pytest.raises(KeyError):
         dw.get(u, patch)
     assert [x.invariant for x in v.violations] == ["dw-read-before-put"]
-    assert "'u'@p0" in v.first_violation.detail
+    assert "'u'@p0" in v.violations[0].detail
 
 
 def test_dw_double_put_is_attributed():
