@@ -56,7 +56,7 @@ def _write_telemetry(outdir: str, bundle) -> None:
     out.mkdir(parents=True, exist_ok=True)
     bundle.ledger.write(out / "ledger.jsonl")
     (out / "metrics.json").write_text(
-        json.dumps(bundle.telemetry.registry.snapshot(), indent=2, sort_keys=True) + "\n"
+        json.dumps(bundle.ledger.metrics, indent=2, sort_keys=True) + "\n"
     )
     (out / "trace.json").write_text(
         json.dumps({"traceEvents": bundle.result.trace.to_chrome_trace()}) + "\n"
@@ -223,7 +223,7 @@ def _cmd_profile(args) -> int:
         ("total comm wait", seconds(bundle.ledger.total_comm_wait)),
     ]
     print(render_table("Profiled run (simulated Sunway time)", ["Metric", "Value"], rows))
-    analysis = analyze(bundle.result, telemetry=bundle.telemetry, ledger=bundle.ledger)
+    analysis = analyze(bundle.result, ledger=bundle.ledger)
     print()
     print(analysis.render_time_accounting())
     print()

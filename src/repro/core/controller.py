@@ -65,6 +65,12 @@ class RunResult:
     #: ``r``'s simulated time at the end of step ``s`` (index 0 = barrier
     #: release).  The telemetry ledger clips trace spans to these windows.
     rank_step_ends: list[list[float]] | None = None
+    #: Per-rank cumulative counter copies at the same boundaries:
+    #: ``rank_step_stats[r][s]`` is ``vars(rank r's stats)`` at the end of
+    #: step ``s``.  The ledger's per-step values are their deltas.
+    #: ``mpi_retries`` is folded in after the last step (see
+    #: :meth:`SimulationController.fold_mpi_retries`), so no copy has it.
+    rank_step_stats: list[list[dict]] | None = None
     #: DES events this ``run()`` processed (init graph included), counted
     #: by the simulator itself.
     des_events: int = 0
@@ -134,11 +140,10 @@ class SimulationController:
         #: ``None`` keeps every fault-free code path byte-identical.
         self.faults = faults
         self.resilience = resilience
-        #: Optional :class:`~repro.telemetry.collect.RunTelemetry`; like
-        #: faults, it reaches the fabric and the *timestep* schedulers
-        #: only — the init graph runs before the measured window and must
-        #: not shift step attribution (step counting starts at the first
-        #: instrumented ``step-begin``).
+        #: Optional :class:`~repro.telemetry.metrics.MetricsRegistry` for
+        #: the samples no counter holds; like faults, it reaches the
+        #: *timestep* schedulers only — the init graph runs before the
+        #: measured window.
         self.telemetry = telemetry
         #: Optional :class:`~repro.verify.ScheduleValidator`.  Same reach
         #: as telemetry — timestep schedulers only — plus the per-rank
@@ -151,7 +156,6 @@ class SimulationController:
             fabric_config,
             faults=faults,
             policy=resilience,
-            telemetry=telemetry,
         )
         self.trace = Tracer(enabled=trace_enabled)
         self.assignment = LoadBalancer(balancer).assign(grid, num_ranks)
@@ -277,6 +281,18 @@ class SimulationController:
                 "allocation errors' case; use more CGs"
             )
 
+    def fold_mpi_retries(self) -> None:
+        """Add the fabric's per-sender retransmissions to the rank stats.
+
+        Delta-guarded, so repeated ``run()`` calls and the recovery
+        runner's fold of an aborted controller never double-count.
+        """
+        for r, sent in enumerate(self.fabric.retries_by_rank):
+            delta = sent - self._folded_retries[r]
+            if delta:
+                self.schedulers[r].stats.mpi_retries += delta
+                self._folded_retries[r] = sent
+
     def _forward_static(self, old_dw: DataWarehouse, new_dw: DataWarehouse) -> None:
         """Carry never-recomputed fields across the warehouse swap."""
         wanted = set(self._static_labels)
@@ -308,6 +324,7 @@ class SimulationController:
         start_time = [0.0] * R
         end_time = [0.0] * R
         step_end: list[list[float]] = [[0.0] * (nsteps + 1) for _ in range(R)]
+        step_stats: list[list[dict]] = [[{}] * (nsteps + 1) for _ in range(R)]
         final_dws: list[DataWarehouse | None] = [None] * R
 
         def driver(rank: int):
@@ -325,8 +342,10 @@ class SimulationController:
             )
             yield self.comms[rank].ibarrier().event
             at.faults = self.faults
+            stats = self.schedulers[rank].stats
             start_time[rank] = sim.now
             step_end[rank][0] = sim.now
+            step_stats[rank][0] = dict(vars(stats))
             old = dw0
             for s in range(1, nsteps + 1):
                 new = DataWarehouse(s, rank)
@@ -343,6 +362,7 @@ class SimulationController:
                     bootstrap=(s == 1),
                 )
                 step_end[rank][s] = sim.now
+                step_stats[rank][s] = dict(vars(stats))
                 old = new
             end_time[rank] = sim.now
             final_dws[rank] = old
@@ -361,15 +381,7 @@ class SimulationController:
             steps.append(cur - prev[0])
             prev[0] = cur
 
-        # MPI retransmissions are counted by the fabric per sender rank;
-        # fold them into that rank's scheduler counters (delta-guarded so
-        # repeated run() calls never double-count).
-        for r in range(R):
-            delta = self.fabric.retries_by_rank[r] - self._folded_retries[r]
-            if delta:
-                self.schedulers[r].stats.mpi_retries += delta
-                self._folded_retries[r] = self.fabric.retries_by_rank[r]
-
+        self.fold_mpi_retries()
         merged = SchedulerStats()
         for sched in self.schedulers:
             merged.merge(sched.stats)
@@ -389,5 +401,6 @@ class SimulationController:
             trace=self.trace,
             sim_time=t0 + (start_step + nsteps) * dt,
             rank_step_ends=step_end,
+            rank_step_stats=step_stats,
             des_events=sim.events_run - events_before,
         )

@@ -113,6 +113,10 @@ class SunwayCostModel:
             return cached
         plan = self.tile_plan(task, patch)
         per_cpe = plan.per_cpe_work()
+        # every launch also reads its DMA volume: fill that cache from
+        # this walk of the plan instead of walking it again
+        if key not in self._dma_volume_cache:
+            self._dma_volume_cache[key] = self._dma_volume(per_cpe)
         if self.pack_tiles:
             per_cpe = [
                 [dataclasses.replace(w, get_chunks=1, put_chunks=1) for w in tiles]
@@ -180,15 +184,20 @@ class SunwayCostModel:
         """Aggregate DMA traffic of one kernel launch on ``patch``.
 
         Like :meth:`cpe_kernel_time` this depends only on the patch
-        extent, so it is cached per ``(task, extent)`` — telemetry can
-        query it on every launch without re-walking the tile plan.
+        extent, so it is cached per ``(task, extent)`` (and filled by
+        :meth:`cpe_kernel_time`'s walk of the tile plan) — every launch
+        queries it without re-walking the plan.
         """
         key = (task.name, patch.extent)
-        cached = self._dma_volume_cache.get(key)
-        if cached is not None:
-            return cached
+        vol = self._dma_volume_cache.get(key)
+        if vol is None:
+            vol = self._dma_volume(self.tile_plan(task, patch).per_cpe_work())
+            self._dma_volume_cache[key] = vol
+        return vol
+
+    def _dma_volume(self, per_cpe) -> DMAVolume:
         get_b = put_b = descriptors = 0
-        for tiles in self.tile_plan(task, patch).per_cpe_work():
+        for tiles in per_cpe:
             for w in tiles:
                 get_b += w.get_bytes
                 put_b += w.put_bytes
@@ -196,9 +205,7 @@ class SunwayCostModel:
                     descriptors += 2  # one get + one put, fully packed
                 else:
                     descriptors += w.get_chunks + w.put_chunks
-        vol = DMAVolume(get_bytes=get_b, put_bytes=put_b, descriptors=descriptors)
-        self._dma_volume_cache[key] = vol
-        return vol
+        return DMAVolume(get_bytes=get_b, put_bytes=put_b, descriptors=descriptors)
 
     def kernel_flops(self, task: Task, patch: Patch) -> int:
         """Counted flops of one kernel execution (perf-counter convention)."""

@@ -38,11 +38,15 @@ class SchedulerStats:
     """Counters accumulated by one rank's scheduler across a run."""
 
     tasks_run: int = 0
+    #: CPE launches.  Async mode launches a re-offload again, so it counts
+    #: here and in ``kernel_retries``; sync mode respawns in place, which
+    #: counts in ``kernel_retries`` only.
     kernels_offloaded: int = 0
     kernels_on_mpe: int = 0
     messages_sent: int = 0
     messages_received: int = 0
     bytes_sent: int = 0
+    bytes_received: int = 0
     local_copies: int = 0
     reductions: int = 0
     #: Simulated seconds the MPE spent blocked with nothing runnable.
@@ -53,6 +57,8 @@ class SchedulerStats:
     scrubbed: int = 0
     #: Counted kernel flops (perf-counter convention).
     kernel_flops: int = 0
+    #: DMA bytes (get + put) of the ``kernels_offloaded`` launches.
+    dma_bytes: int = 0
     # -- resilience counters (all zero in a fault-free run) ---------------
     #: Offloaded kernels the completion-timeout watchdog gave up on.
     kernel_timeouts: int = 0
@@ -229,12 +235,10 @@ class SchedulerCore:
             self.lifecycle.subscribe(TraceSubscriber(self.trace, rank))
         if resilience is not None:
             self.lifecycle.subscribe(self.retry_governor)
-        #: Observability sink (:class:`repro.telemetry.collect.RunTelemetry`);
-        #: like the other observers it is only subscribed when present, so
-        #: the default run pays nothing for it.
+        #: Optional :class:`~repro.telemetry.metrics.MetricsRegistry` for
+        #: the samples no counter holds (queue depths, kernel durations,
+        #: the DMA get/put split); counters come from :attr:`stats`.
         self.telemetry = telemetry
-        if telemetry is not None:
-            self.lifecycle.subscribe(telemetry.subscriber_for(rank))
         #: Online schedule validator (:class:`repro.verify.ScheduleValidator`);
         #: a pure observer of the lifecycle bus — off by default and, when
         #: on, provably non-perturbing (it charges no simulated time).

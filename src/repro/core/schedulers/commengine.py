@@ -173,16 +173,12 @@ class CommEngine:
         else:
             self.send_reqs.append(req)
         sched.lifecycle.emit("msg-sent", nbytes=spec.nbytes)
-        if sched.telemetry is not None:
-            sched.telemetry.on_ghost_send(sched.rank, spec.nbytes)
         if src_dw == "old":
             self.consume_old(spec.label.name, spec.from_patch.patch_id)
 
     def apply_unpack(self, spec: MessageSpec, payload) -> None:
         sched, st = self.sched, self.st
         sched.lifecycle.emit("msg-recv", spec.consumer, nbytes=spec.nbytes)
-        if sched.telemetry is not None:
-            sched.telemetry.on_ghost_unpack(sched.rank, spec.nbytes)
         if sched.real:
             dw = st.dw_for(spec.dw)
             if dw.exists(spec.label, spec.to_patch):

@@ -22,8 +22,10 @@ through the scheduling loop:
 Besides transitions, schedulers emit *named* events (``msg-sent``,
 ``local-copy``, ``scrubbed``, ``idle`` …) for work that is real but not
 a task state change; the mapping to counters lives in one place,
-:class:`StatsSubscriber`.  See ``docs/ARCHITECTURE.md`` for the layer
-diagram.
+:class:`StatsSubscriber`.  The telemetry ledger and the registry
+counters are derived from those counters afterwards (per-step copies in
+``RunResult.rank_step_stats``), never from a second mapping.  See
+``docs/ARCHITECTURE.md`` for the layer diagram.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class LifecycleEvent:
     ``info`` carries free-form details; two keys have layer-wide meaning:
     ``span=(lane, name, t0, t1)`` asks the trace subscriber to record a
     busy interval, and counter-specific keys (``nbytes``, ``seconds``,
-    ``n``, ``retry``, ``cause``, ``backend``) drive the stats mapping.
+    ``n``, ``retry``, ``cause``, ``backend``, ``dma``) drive the stats
+    mapping.
     """
 
     __slots__ = ("kind", "dt", "state", "t", "info")
@@ -181,6 +184,7 @@ class StatsSubscriber:
                     s.kernel_retries += 1
                 else:
                     s.kernels_offloaded += 1
+                    s.dma_bytes += info["dma"]
             elif backend == "mpe":
                 s.kernels_on_mpe += 1
             elif backend == "mpe_fallback":
@@ -199,6 +203,7 @@ class StatsSubscriber:
             s.bytes_sent += info["nbytes"]
         elif kind == "msg-recv":
             s.messages_received += 1
+            s.bytes_received += info["nbytes"]
         elif kind == "local-copy":
             s.local_copies += 1
         elif kind == "reduction":

@@ -122,17 +122,19 @@ class OffloadEngine:
         fl = Flight(handle, nxt, expected, deadline, t_launch, duration)
         self.inflight[group] = fl
         self.interference.kernel_inflight = True
-        if sched.telemetry is not None:
-            sched.telemetry.on_kernel_launch(
-                sched.rank,
-                nxt.name,
-                duration,
-                sched.costs.kernel_dma_volume(nxt.task, nxt.patch),
-            )
+        volume = sched.costs.kernel_dma_volume(nxt.task, nxt.patch)
+        reg = sched.telemetry
+        if reg is not None:
+            reg.observe("kernel.seconds", duration)
+            reg.observe(f"kernel.seconds.{nxt.task.name}", duration)
+            reg.inc("dma.get.bytes", volume.get_bytes)
+            reg.inc("dma.put.bytes", volume.put_bytes)
+            reg.inc("dma.descriptors", volume.descriptors)
         sched.lifecycle.transition(
             nxt,
             TaskState.RUNNING,
             backend="cpe",
+            dma=volume.total_bytes,
             span=("cpe", nxt.name, t_launch, t_launch + handle.duration),
         )
         self.count_flops(nxt)

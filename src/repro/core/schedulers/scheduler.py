@@ -177,13 +177,13 @@ class SunwayScheduler(SchedulerCore):
         # iteration when there is nothing to do (the monolith's inlined
         # blocks had that property for free)
         tracker = st.tracker
-        telemetry = self.telemetry
+        reg = self.telemetry
         while st.remaining or comm.work:
             progressed = False
-            if telemetry is not None:
-                telemetry.on_loop_sample(
-                    len(tracker.ready), len(offload.inflight), len(comm.work)
-                )
+            if reg is not None:
+                reg.observe("sched.ready_depth", len(tracker.ready))
+                reg.observe("cpe.inflight", len(offload.inflight))
+                reg.observe("comm.workq_depth", len(comm.work))
 
             # (3c) test MPI: harvest completed receives
             harvested = comm.harvest_recvs()

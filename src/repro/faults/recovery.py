@@ -121,11 +121,7 @@ class ResilientRunner:
     @staticmethod
     def _fold(controller: SimulationController, into: SchedulerStats) -> None:
         """Merge a (possibly aborted) controller's counters into ``into``."""
-        for r in range(controller.num_ranks):
-            delta = controller.fabric.retries_by_rank[r] - controller._folded_retries[r]
-            if delta:
-                controller.schedulers[r].stats.mpi_retries += delta
-                controller._folded_retries[r] = controller.fabric.retries_by_rank[r]
+        controller.fold_mpi_retries()
         for sched in controller.schedulers:
             into.merge(sched.stats)
 

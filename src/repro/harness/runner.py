@@ -68,7 +68,7 @@ class InstrumentedRun:
     experiment: ExperimentResult
     #: The raw :class:`~repro.core.controller.RunResult` with its trace.
     result: RunResult
-    #: The :class:`~repro.telemetry.collect.RunTelemetry` that observed it.
+    #: The :class:`~repro.telemetry.metrics.MetricsRegistry` of its samples.
     telemetry: object
     #: The folded :class:`~repro.telemetry.ledger.RunLedger`.
     ledger: object
@@ -156,17 +156,17 @@ def run_instrumented(
 ) -> InstrumentedRun:
     """Run one case with tracing and telemetry on; returns the full bundle.
 
-    The schedule is identical to :func:`run_experiment`'s (telemetry
-    observes the DES, it never charges simulated time), but results are
+    The schedule is identical to :func:`run_experiment`'s (the registry
+    only samples the DES, it never charges simulated time), but results are
     *not* memoized: the bundle carries the trace, the metrics registry
     and the ledger, which the cache must not alias across callers.
     """
     import datetime
 
-    from repro.telemetry import RunTelemetry, build_ledger
+    from repro.telemetry import MetricsRegistry, build_ledger
     from repro.telemetry.ledger import git_revision
 
-    telemetry = RunTelemetry()
+    telemetry = MetricsRegistry()
     result, dt = _run_case(
         problem, variant, num_cgs, nsteps, with_reduction, trace_enabled=True, telemetry=telemetry
     )

@@ -99,7 +99,6 @@ class Fabric:
         config: FabricConfig | None = None,
         faults=None,
         policy=None,
-        telemetry=None,
     ):
         if num_ranks < 1:
             raise ValueError(f"need >= 1 rank, got {num_ranks}")
@@ -125,9 +124,6 @@ class Fabric:
         self.messages_dropped = 0
         self.messages_duplicated = 0
         self.messages_delayed = 0
-        #: Observability sink (:class:`repro.telemetry.collect.RunTelemetry`);
-        #: wire-level traffic counters, None by default.
-        self.telemetry = telemetry
 
     @property
     def mpi_retries(self) -> int:
@@ -157,8 +153,6 @@ class Fabric:
         req = SendRequest(self.sim, dest, tag, nbytes, source=source)
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        if self.telemetry is not None:
-            self.telemetry.on_wire_message(nbytes)
         if source == dest:
             # Self-messages short-circuit through memory: cheap but not free.
             req.event.succeed(None, delay=0.0)
@@ -272,8 +266,6 @@ class Fabric:
             yield self.sim.timeout(wire_cost + rto)
             self.retries_by_rank[send_req.source] += 1
             self.bytes_sent += send_req.nbytes
-            if self.telemetry is not None:
-                self.telemetry.on_retransmit(send_req.source, send_req.nbytes)
             if attempt >= max_retries or not self.faults.redrop(self.sim.now, site):
                 break
             self.messages_dropped += 1

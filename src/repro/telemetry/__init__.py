@@ -6,30 +6,30 @@ scheduler wins by *overlap* — so the runtime must be able to answer
 not just inside the test suite.  This package is that answer:
 
 * :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` of counters
-  and histograms (p50/p95/max), fed by lifecycle-bus subscribers
-  plus explicit hooks in the comm/offload engines, the DMA cost model
-  and the simulated fabric;
-* :mod:`repro.telemetry.collect` — :class:`RunTelemetry`, one run's
-  collection state: the registry plus per-``(rank, step)`` counter
-  buckets attributed by the per-rank :class:`TelemetrySubscriber`;
+  and histograms (p50/p95/max).  A run's registry holds only what no
+  counter does: the scheduler loop's queue depths and the offload
+  engine's kernel durations and DMA get/put split;
 * :mod:`repro.telemetry.ledger` — :class:`RunLedger`, the per-timestep
   JSONL record (wall/sim time, lane busy seconds, overlap fraction,
-  comm-wait, metric deltas) with a provenance manifest;
+  comm-wait, metric deltas) with a provenance manifest.  Every count in
+  it is derived from
+  :class:`~repro.core.schedulers.base.SchedulerStats` — per-step deltas
+  of ``RunResult.rank_step_stats`` and the run's totals — so the
+  lifecycle's :class:`~repro.core.schedulers.lifecycle.StatsSubscriber`
+  stays the one place that turns runtime events into counters;
 * :mod:`repro.telemetry.analyzer` — folds :class:`~repro.core.trace.
   Tracer` spans and the ledger into per-rank time accounting
   (kernel / pack / unpack / MPI-wait / idle) and a per-timestep
   critical-path estimate, rendered as text tables.
 
-Everything is opt-in: a run without a :class:`RunTelemetry` attached
-executes the exact same code path as before this package existed (the
-golden-equivalence oracles pin that), and the only cost of the disabled
-state is an ``is not None`` test at each hook site.
+Everything is opt-in: a run without a registry attached skips the
+sample sites behind one ``is not None`` test each, and attaching one
+never changes the schedule (the golden-equivalence oracles pin that).
 
 See ``docs/OBSERVABILITY.md`` for the metric catalog and ledger schema.
 """
 
 from repro.telemetry.analyzer import RunAnalysis, analyze
-from repro.telemetry.collect import RunTelemetry, TelemetrySubscriber
 from repro.telemetry.ledger import LedgerStep, RunLedger, build_ledger
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 
@@ -37,8 +37,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "RunTelemetry",
-    "TelemetrySubscriber",
     "RunLedger",
     "LedgerStep",
     "build_ledger",

@@ -192,7 +192,7 @@ class RunAnalysis:
         )
 
 
-def analyze(result, telemetry=None, ledger: RunLedger | None = None) -> RunAnalysis:
+def analyze(result, ledger: RunLedger | None = None) -> RunAnalysis:
     """Build the per-rank breakdowns (and attach the ledger) for a run.
 
     ``result`` must come from a run with tracing enabled; without spans

@@ -23,24 +23,58 @@ import subprocess
 
 from repro.core.trace import clip_intervals, intersect_total, merge_intervals
 
-#: Bucket keys folded into each step line (sum over ranks).
-_STEP_TOTAL_KEYS = (
-    "tasks_done",
-    "kernels_offloaded",
-    "kernels_mpe",
-    "msgs_sent",
-    "bytes_sent",
-    "msgs_recv",
-    "local_copies",
-    "reductions",
-    "scrubbed",
-    "flops",
-    "dma_bytes",
-    "kernel_timeouts",
-    "kernel_retries",
-    "mpe_fallbacks",
-    "stragglers",
-)
+#: Step-line ``totals`` key -> the SchedulerStats field it is a delta of.
+_STEP_TOTAL_FIELDS = {
+    "tasks_done": "tasks_run",
+    "kernels_offloaded": "kernels_offloaded",
+    "kernels_mpe": "kernels_on_mpe",
+    "msgs_sent": "messages_sent",
+    "bytes_sent": "bytes_sent",
+    "msgs_recv": "messages_received",
+    "local_copies": "local_copies",
+    "reductions": "reductions",
+    "scrubbed": "scrubbed",
+    "flops": "kernel_flops",
+    "dma_bytes": "dma_bytes",
+    "kernel_timeouts": "kernel_timeouts",
+    "kernel_retries": "kernel_retries",
+    "mpe_fallbacks": "mpe_fallbacks",
+    "stragglers": "stragglers_detected",
+}
+
+#: Registry counter name -> the merged SchedulerStats field it reports.
+_COUNTER_FIELDS = {
+    "tasks.done": "tasks_run",
+    "kernels.offloaded": "kernels_offloaded",
+    "kernels.mpe": "kernels_on_mpe",
+    "ghost.msgs.sent": "messages_sent",
+    "ghost.bytes.sent": "bytes_sent",
+    "ghost.msgs.recv": "messages_received",
+    "ghost.bytes.recv": "bytes_received",
+    "comm.local_copies": "local_copies",
+    "comm.reductions": "reductions",
+    "dw.scrubbed": "scrubbed",
+    "flops.counted": "kernel_flops",
+    "mpe.idle.seconds": "idle_wait",
+    "mpe.spin.seconds": "spin_wait",
+    "resilience.kernel_timeouts": "kernel_timeouts",
+    "resilience.kernel_retries": "kernel_retries",
+    "resilience.mpe_fallbacks": "mpe_fallbacks",
+    "resilience.stragglers": "stragglers_detected",
+    "net.retransmits": "mpi_retries",
+}
+
+
+def run_counters(result) -> dict[str, int | float]:
+    """The registry counters a run's stats and fabric totals already hold.
+
+    A counter that never moved is left out, as an untouched registry
+    counter would be.
+    """
+    values = {name: getattr(result.stats, field) for name, field in _COUNTER_FIELDS.items()}
+    values["net.messages"] = result.messages_sent
+    values["net.bytes"] = result.bytes_sent
+    return {name: v for name, v in values.items() if v}
 
 
 def git_revision(repo_dir: str | None = None) -> str | None:
@@ -74,7 +108,7 @@ class LedgerStep:
     overlap: list[float]
     #: Per-rank seconds the MPE spent blocked on events (MPI, kernels).
     comm_wait: list[float]
-    #: Step metric deltas summed over ranks (see ``_STEP_TOTAL_KEYS``).
+    #: Step metric deltas summed over ranks (see ``_STEP_TOTAL_FIELDS``).
     totals: dict[str, float]
 
     @property
@@ -152,18 +186,20 @@ class RunLedger:
         return cls(manifest=manifest, steps=steps, metrics=metrics)
 
 
-def build_ledger(result, telemetry, manifest: dict) -> RunLedger:
-    """Fold a run's trace, step boundaries and buckets into a ledger.
+def build_ledger(result, registry, manifest: dict) -> RunLedger:
+    """Fold a run's trace, step boundaries and counter copies into a ledger.
 
     ``result`` is a :class:`~repro.core.controller.RunResult` from a run
-    with tracing enabled and per-rank step boundaries recorded;
-    ``telemetry`` a :class:`~repro.telemetry.collect.RunTelemetry` (may
-    be ``None`` — bucket-derived columns then read zero).
+    with tracing enabled; its ``rank_step_stats`` give every per-step
+    count.  ``registry`` is the run's
+    :class:`~repro.telemetry.metrics.MetricsRegistry` (or ``None``); the
+    ledger's metrics are its snapshot merged with :func:`run_counters`.
     """
     ranks = result.num_ranks
     boundaries = result.rank_step_ends
-    if boundaries is None:
-        raise ValueError("run has no per-rank step boundaries (telemetry off?)")
+    snaps = result.rank_step_stats
+    if boundaries is None or snaps is None:
+        raise ValueError("run has no per-rank step boundaries")
     # Merged busy intervals per rank/lane, clipped per step window below.
     mpe_merged = []
     cpe_merged = []
@@ -179,6 +215,7 @@ def build_ledger(result, telemetry, manifest: dict) -> RunLedger:
     prev_global = max(boundaries[r][0] for r in range(ranks))
     for s in range(1, result.nsteps + 1):
         mpe_busy, cpe_busy, overlap, comm_wait = [], [], [], []
+        totals = dict.fromkeys(_STEP_TOTAL_FIELDS, 0)
         for r in range(ranks):
             lo, hi = boundaries[r][s - 1], boundaries[r][s]
             m = clip_intervals(mpe_merged[r], lo, hi)
@@ -186,12 +223,14 @@ def build_ledger(result, telemetry, manifest: dict) -> RunLedger:
             mpe_busy.append(sum(b - a for a, b in m))
             cpe_busy.append(sum(b - a for a, b in c))
             overlap.append(intersect_total(m, c))
-            bucket = telemetry.step_buckets.get((r, s), {}) if telemetry else {}
+            before, after = snaps[r][s - 1], snaps[r][s]
             comm_wait.append(
-                bucket.get("idle_seconds", 0.0) + bucket.get("spin_seconds", 0.0)
+                (after["idle_wait"] - before["idle_wait"])
+                + (after["spin_wait"] - before["spin_wait"])
             )
+            for key, field in _STEP_TOTAL_FIELDS.items():
+                totals[key] += after[field] - before[field]
         cur_global = max(boundaries[r][s] for r in range(ranks))
-        step_totals = telemetry.step_totals(s) if telemetry else {}
         steps.append(
             LedgerStep(
                 step=s,
@@ -201,9 +240,11 @@ def build_ledger(result, telemetry, manifest: dict) -> RunLedger:
                 cpe_busy=cpe_busy,
                 overlap=overlap,
                 comm_wait=comm_wait,
-                totals={k: step_totals.get(k, 0) for k in _STEP_TOTAL_KEYS},
+                totals=totals,
             )
         )
         prev_global = cur_global
-    metrics = telemetry.registry.snapshot() if telemetry else {}
-    return RunLedger(manifest=manifest, steps=steps, metrics=metrics)
+    metrics = registry.snapshot() if registry is not None else {}
+    for name, value in run_counters(result).items():
+        metrics[name] = {"kind": "counter", "value": value}
+    return RunLedger(manifest=manifest, steps=steps, metrics=dict(sorted(metrics.items())))

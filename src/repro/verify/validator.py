@@ -15,7 +15,7 @@ machine from the event bus and checks the invariant catalog
 * LDM budget — every offloaded kernel's tile plan fits the 64 KB
   scratchpad.
 
-The validator is wired in exactly like telemetry: pass
+The validator is wired in like the telemetry registry: pass
 ``validator=ScheduleValidator()`` to the controller and it subscribes
 one :class:`RankValidator` per timestep scheduler, audits each data
 warehouse through its observer hook, and watches each offload engine's
@@ -49,7 +49,7 @@ class ScheduleValidator:
         How many recent events to keep in the ring buffer that a repro
         bundle snapshots around the first violation.
     telemetry:
-        Optional :class:`~repro.telemetry.collect.RunTelemetry`; when
+        Optional :class:`~repro.telemetry.metrics.MetricsRegistry`; when
         given, every violation increments ``verify.violations`` and
         ``verify.violations.<invariant>`` counters.
     """
@@ -102,8 +102,8 @@ class ScheduleValidator:
         if self.first_window is None:
             self.first_window = list(self.recent)
         if self.telemetry is not None:
-            self.telemetry.registry.inc("verify.violations")
-            self.telemetry.registry.inc(f"verify.violations.{violation.invariant}")
+            self.telemetry.inc("verify.violations")
+            self.telemetry.inc(f"verify.violations.{violation.invariant}")
         if self.strict:
             raise VerificationError(violation.render())
 
@@ -160,7 +160,7 @@ class RankValidator:
     """Mirror of one rank's per-timestep lifecycle state machine.
 
     Subscribed to the rank's lifecycle bus; consumes the same events the
-    stats/telemetry subscribers do and rebuilds the readiness ledger
+    stats subscriber does and rebuilds the readiness ledger
     independently, from the task graph's static structure — so a
     scheduler bug that mis-counts blockers cannot fool it.
     """

@@ -30,9 +30,7 @@ def test_lane_totals_match_tracer_busy_time(bundle):
     rank charges them back to back), so the sum of span durations equals
     the lane's union busy time to float tolerance.
     """
-    analysis = analyze(
-        bundle.result, telemetry=bundle.telemetry, ledger=bundle.ledger
-    )
+    analysis = analyze(bundle.result, ledger=bundle.ledger)
     trace = bundle.result.trace
     assert len(analysis.breakdowns) == CGS
     for b in analysis.breakdowns:
@@ -53,7 +51,7 @@ def test_wall_accounting_closes(bundle):
 
 
 def test_render_tables(bundle):
-    analysis = analyze(bundle.result, telemetry=bundle.telemetry, ledger=bundle.ledger)
+    analysis = analyze(bundle.result, ledger=bundle.ledger)
     acct = analysis.render_time_accounting()
     assert "Per-rank time accounting" in acct
     assert "CPE kernel" in acct and "Ovl frac" in acct

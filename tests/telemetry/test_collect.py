@@ -1,18 +1,22 @@
-"""Collection-layer tests: buckets and counters agree with the scheduler's
-own stats, and attaching telemetry never perturbs the simulated schedule."""
+"""Collection tests: the ledger's counters are derived from the scheduler's
+own stats, per-step copies of those stats partition the run, and attaching
+a registry never perturbs the simulated schedule."""
+
+import dataclasses
 
 import pytest
 
 from repro.burgers.component import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
-from repro.telemetry import RunTelemetry
+from repro.faults import FaultConfig, FaultInjector, ResiliencePolicy
+from repro.telemetry import MetricsRegistry, build_ledger
 
 from tests.telemetry.conftest import NSTEPS
 
 
 def _counter(bundle, name):
-    return bundle.telemetry.registry.counter(name).value
+    return bundle.ledger.metrics[name]["value"]
 
 
 def test_counters_agree_with_scheduler_stats(bundle):
@@ -22,6 +26,7 @@ def test_counters_agree_with_scheduler_stats(bundle):
     assert _counter(bundle, "ghost.msgs.sent") == stats.messages_sent
     assert _counter(bundle, "ghost.bytes.sent") == stats.bytes_sent
     assert _counter(bundle, "ghost.msgs.recv") == stats.messages_received
+    assert _counter(bundle, "ghost.bytes.recv") == stats.bytes_received
     assert _counter(bundle, "comm.local_copies") == stats.local_copies
     assert _counter(bundle, "comm.reductions") == stats.reductions
     assert _counter(bundle, "dw.scrubbed") == stats.scrubbed
@@ -36,23 +41,31 @@ def test_wire_counters_agree_with_fabric(bundle):
     assert _counter(bundle, "net.bytes") == bundle.result.bytes_sent
 
 
-def test_step_buckets_partition_run_totals(bundle):
-    """Per-(rank, step) buckets must sum to the whole-run counters.
+def test_step_stats_partition_run_totals(bundle):
+    """Per-step deltas of the counter copies sum to each rank's totals.
 
-    Nothing may leak into a step-0 bucket: the controller instruments
-    the timestep schedulers only, so every event lands in steps 1..N.
+    ``mpi_retries`` is folded in after the last step, so it is excluded
+    (it is zero in this fault-free run anyway).
     """
-    tele = bundle.telemetry
-    assert not any(s == 0 for (_r, s) in tele.step_buckets)
+    res = bundle.result
+    assert len(res.rank_step_stats) == len(res.rank_stats)
+    for snaps, final in zip(res.rank_step_stats, res.rank_stats):
+        assert len(snaps) == NSTEPS + 1
+        assert all(v == 0 for v in snaps[0].values())  # nothing before step 1
+        for field in dataclasses.fields(final):
+            if field.type != "int" or field.name == "mpi_retries":
+                continue
+            deltas = [snaps[s][field.name] - snaps[s - 1][field.name] for s in range(1, NSTEPS + 1)]
+            assert sum(deltas) == getattr(final, field.name), field.name
     for key, total in (
-        ("tasks_done", bundle.result.stats.tasks_run),
-        ("msgs_sent", bundle.result.stats.messages_sent),
-        ("bytes_sent", bundle.result.stats.bytes_sent),
-        ("kernels_offloaded", bundle.result.stats.kernels_offloaded),
-        ("flops", bundle.result.stats.kernel_flops),
+        ("tasks_done", res.stats.tasks_run),
+        ("msgs_sent", res.stats.messages_sent),
+        ("bytes_sent", res.stats.bytes_sent),
+        ("kernels_offloaded", res.stats.kernels_offloaded),
+        ("flops", res.stats.kernel_flops),
+        ("dma_bytes", res.stats.dma_bytes),
     ):
-        folded = sum(tele.step_totals(s).get(key, 0) for s in range(1, NSTEPS + 1))
-        assert folded == total, key
+        assert sum(s.totals[key] for s in bundle.ledger.steps) == total, key
 
 
 def test_dma_volume_counters(bundle):
@@ -63,16 +76,13 @@ def test_dma_volume_counters(bundle):
     # ghosted reads always exceed interior writes for a stencil kernel
     assert get_b > put_b
     assert _counter(bundle, "dma.descriptors") > 0
-    # per-step attribution folds to the same total
-    folded = sum(
-        bundle.telemetry.step_totals(s).get("dma_bytes", 0)
-        for s in range(1, NSTEPS + 1)
-    )
-    assert folded == get_b + put_b
+    # the stats field and its per-step attribution fold to the same total
+    assert bundle.result.stats.dma_bytes == get_b + put_b
+    assert sum(s.totals["dma_bytes"] for s in bundle.ledger.steps) == get_b + put_b
 
 
 def test_queue_depth_histograms_sampled(bundle):
-    reg = bundle.telemetry.registry
+    reg = bundle.telemetry
     for name in ("sched.ready_depth", "cpe.inflight", "comm.workq_depth"):
         h = reg.histogram(name)
         assert h.count > 0, name
@@ -81,7 +91,7 @@ def test_queue_depth_histograms_sampled(bundle):
 
 
 def test_kernel_duration_histograms(bundle):
-    reg = bundle.telemetry.registry
+    reg = bundle.telemetry
     h = reg.histogram("kernel.seconds")
     assert h.count == bundle.result.stats.kernels_offloaded
     # per-task-kind breakdown exists and folds back to the total
@@ -91,7 +101,7 @@ def test_kernel_duration_histograms(bundle):
 
 
 def test_resilience_counters_zero_in_fault_free_run(bundle):
-    reg = bundle.telemetry.registry.snapshot()
+    metrics = bundle.ledger.metrics
     for name in (
         "resilience.kernel_timeouts",
         "resilience.kernel_retries",
@@ -99,7 +109,7 @@ def test_resilience_counters_zero_in_fault_free_run(bundle):
         "resilience.stragglers",
         "net.retransmits",
     ):
-        assert reg.get(name, {"value": 0})["value"] == 0, name
+        assert metrics.get(name, {"value": 0})["value"] == 0, name
 
 
 def _tiny_run(telemetry=None):
@@ -122,22 +132,23 @@ def test_telemetry_never_perturbs_the_schedule():
     import numpy as np
 
     plain = _tiny_run()
-    tele = RunTelemetry()
-    observed = _tiny_run(telemetry=tele)
+    reg = MetricsRegistry()
+    observed = _tiny_run(telemetry=reg)
     assert observed.total_time == plain.total_time  # bit-identical, no approx
     assert observed.step_times == plain.step_times
     assert observed.rank_step_ends == plain.rank_step_ends
+    assert observed.rank_step_stats == plain.rank_step_stats
     for dw_a, dw_b in zip(plain.final_dws, observed.final_dws):
         for va, vb in zip(dw_a.grid_variables(), dw_b.grid_variables()):
             assert np.array_equal(va.interior, vb.interior)
     # and the observer did actually observe
-    assert tele.registry.counter("tasks.done").value == observed.stats.tasks_run
+    assert reg.histogram("kernel.seconds").count == observed.stats.kernels_offloaded
 
 
 def test_telemetry_reaches_timestep_schedulers_only():
     grid = Grid(extent=(8, 8, 16), layout=(2, 2, 1))
     problem = BurgersProblem(grid)
-    tele = RunTelemetry()
+    reg = MetricsRegistry()
     controller = SimulationController(
         grid,
         problem.tasks(),
@@ -145,7 +156,77 @@ def test_telemetry_reaches_timestep_schedulers_only():
         num_ranks=2,
         mode="async",
         real=True,
-        telemetry=tele,
+        telemetry=reg,
     )
-    assert all(s.telemetry is tele for s in controller.schedulers)
+    assert all(s.telemetry is reg for s in controller.schedulers)
     assert all(s.telemetry is None for s in controller.init_schedulers)
+
+
+#: Derived registry counter -> the merged SchedulerStats field it reports.
+_STATS_SOURCES = {
+    "tasks.done": "tasks_run",
+    "kernels.offloaded": "kernels_offloaded",
+    "kernels.mpe": "kernels_on_mpe",
+    "ghost.msgs.sent": "messages_sent",
+    "ghost.bytes.sent": "bytes_sent",
+    "ghost.msgs.recv": "messages_received",
+    "ghost.bytes.recv": "bytes_received",
+    "comm.local_copies": "local_copies",
+    "comm.reductions": "reductions",
+    "dw.scrubbed": "scrubbed",
+    "flops.counted": "kernel_flops",
+    "mpe.idle.seconds": "idle_wait",
+    "mpe.spin.seconds": "spin_wait",
+    "resilience.kernel_timeouts": "kernel_timeouts",
+    "resilience.kernel_retries": "kernel_retries",
+    "resilience.mpe_fallbacks": "mpe_fallbacks",
+    "resilience.stragglers": "stragglers_detected",
+}
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_faulted_counters_equal_their_sources(mode):
+    """Every derived counter equals its stats or fabric source under faults.
+
+    A second event-to-counter mapping used to count ``kernels.mpe`` without
+    the MPE fallbacks: at this fault seed it read 0 against 3.
+    """
+    grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
+    problem = BurgersProblem(grid)
+    reg = MetricsRegistry()
+    faults = FaultInjector(
+        FaultConfig(
+            seed=1,
+            kernel_slowdown_prob=0.2,
+            kernel_stuck_prob=0.1,
+            dma_error_prob=0.2,
+            msg_drop_prob=0.1,
+        )
+    )
+    controller = SimulationController(
+        grid,
+        problem.tasks(),
+        problem.init_tasks(),
+        num_ranks=2,
+        mode=mode,
+        real=False,
+        trace_enabled=True,
+        faults=faults,
+        resilience=ResiliencePolicy(max_offload_retries=2),
+        telemetry=reg,
+    )
+    res = controller.run(nsteps=4, dt=problem.stable_dt())
+    metrics = build_ledger(res, reg, {}).metrics
+
+    def value(name):
+        return metrics.get(name, {"value": 0})["value"]
+
+    stats = res.stats
+    assert stats.mpe_fallbacks > 0 and stats.mpi_retries > 0  # the faults bit
+    for name, field in _STATS_SOURCES.items():
+        assert value(name) == getattr(stats, field), name
+    assert value("kernels.mpe") >= stats.mpe_fallbacks
+    assert value("net.messages") == controller.fabric.messages_sent
+    assert value("net.bytes") == controller.fabric.bytes_sent
+    assert value("net.retransmits") == controller.fabric.mpi_retries
+    assert value("dma.get.bytes") + value("dma.put.bytes") == stats.dma_bytes
