@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro.core.schedulers.base import KERNEL_SLOT
 from repro.core.schedulers.lifecycle import TaskState
 from repro.des.resources import Store
 
@@ -49,13 +50,15 @@ class CPEBackend:
         for g in range(offload.num_groups):
             if g in offload.inflight:
                 continue
-            nxt = st.tracker.pop_ready(offload.is_offloadable, key=sched.select.key_fn)
+            nxt = st.tracker.pop(KERNEL_SLOT, key=sched.select.key_fn)
             if nxt is None:
                 break
             sched.lifecycle.transition(nxt, TaskState.DISPATCHED, backend="cpe")
-            yield from sched._mpe("task-select", sched.costs.sched.task_select)
+            yield sched._mpe("task-select", sched.costs.sched.task_select)
             if nxt.dt_id not in st.prepared:
-                yield from sched.run_mpe_part(st, nxt)
+                part = sched.run_mpe_part(st, nxt)
+                if part is not None:
+                    yield part
             offload.launch(nxt, g)
             progressed = True
             if self.blocking:
@@ -73,20 +76,20 @@ class MPEBackend:
         return 1
 
     def run_kernels(self, sched, st, comm, offload) -> _t.Generator:
-        nxt = st.tracker.pop_ready(offload.is_offloadable, key=sched.select.key_fn)
+        nxt = st.tracker.pop(KERNEL_SLOT, key=sched.select.key_fn)
         if nxt is None:
             return False
         sched.lifecycle.transition(nxt, TaskState.DISPATCHED, backend="mpe")
-        yield from sched._mpe("task-select", sched.costs.sched.task_select)
+        yield sched._mpe("task-select", sched.costs.sched.task_select)
         if nxt.dt_id not in st.prepared:
-            yield from sched.run_mpe_part(st, nxt)
+            part = sched.run_mpe_part(st, nxt)
+            if part is not None:
+                yield part
         sched.lifecycle.transition(nxt, TaskState.RUNNING, backend="mpe")
         action = sched.kernel_action(st, nxt)
         if action is not None:
             action()
-        yield from sched._mpe(
-            f"mpe-kernel:{nxt.name}", sched.costs.mpe_kernel_time(nxt.task, nxt.patch)
-        )
+        yield sched._mpe("mpe-kernel", sched.costs.mpe_kernel_time(nxt.task, nxt.patch), nxt)
         # mpe_only counts flops per execution (no offload retry dedup)
         sched.lifecycle.emit("flops", nxt, n=sched.costs.kernel_flops(nxt.task, nxt.patch))
         sched.finish_task(st, comm, nxt)

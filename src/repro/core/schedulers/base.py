@@ -12,6 +12,7 @@ and the per-timestep orchestration; see ``docs/ARCHITECTURE.md``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.core.schedulers.lifecycle import (
     RetryGovernor,
@@ -21,7 +22,7 @@ from repro.core.schedulers.lifecycle import (
     TraceSubscriber,
 )
 from repro.core.schedulers.selection import make_policy
-from repro.core.task import TaskContext
+from repro.core.task import TaskContext, TaskKind
 from repro.core.trace import Tracer
 
 
@@ -81,6 +82,107 @@ class SchedulerStats:
             setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
 
 
+#: Ready-queue slot of each task kind.  A :class:`RankPlan` stores every
+#: task's slot and the :class:`ReadinessTracker` counts ready tasks per
+#: slot, so the per-event paths index lists by int and never hash the
+#: enum (``Enum.__hash__`` is Python-level in CPython 3.11).
+KIND_SLOT: dict[TaskKind, int] = {kind: i for i, kind in enumerate(TaskKind)}
+KERNEL_SLOT = KIND_SLOT[TaskKind.CPE_KERNEL]
+MPE_SLOT = KIND_SLOT[TaskKind.MPE]
+REDUCTION_SLOT = KIND_SLOT[TaskKind.REDUCTION]
+
+
+class RankPlan:
+    """One rank's share of a compiled task graph, indexed and priced once.
+
+    A scheduler builds it on its first timestep and reuses it for every
+    later one: the graph is fixed until the patch distribution changes.
+
+    * ``tasks``, ``kind_slot``, ``blockers`` and ``initially_ready`` are
+      what each step's :class:`ReadinessTracker` starts from.
+    * ``retire[dt_id]`` is what retiring the task does: the work items it
+      queues (its sends, then its copies), the same-rank dependents it
+      releases, and the old-DW variables it read (scrub keys).
+    * ``recvs`` lists this rank's incoming messages with their unpack cost.
+    * ``startup`` and ``bootstrap_startup`` are the work items queued at
+      step start; the first timestep adds the bootstrap sends.
+    * ``scrub_counts`` and ``bootstrap_scrub_counts`` are the old-DW
+      reader counts at step start, the startup sends' reads included.
+
+    Work items are ``(kind, payload, cost)`` tuples shared by every step.
+    A send's payload says which tag base it uses (``next_step``) instead
+    of holding one step's tags.  Each cost is priced once per spec:
+    ``pack_time(...)``, then ``+ send_post`` for a send.
+    """
+
+    def __init__(self, graph, rank: int, costs, scrub: bool):
+        local = graph.local_tasks(rank)
+        self.tasks = {dt.dt_id: dt for dt in local}
+        self.kind_slot = {dt.dt_id: KIND_SLOT[dt.task.kind] for dt in local}
+        self.blockers: dict[int, int] = {}
+        self.initially_ready: list = []
+        for dt in local:
+            n = len(graph.internal_deps[dt.dt_id])
+            n += len(graph.recvs_for(dt))
+            n += len(graph.copies_for(dt))
+            self.blockers[dt.dt_id] = n
+            if n == 0:
+                self.initially_ready.append(dt)
+
+        send_post = costs.sched.send_post
+
+        def send_item(spec, from_bootstrap: bool = False) -> tuple:
+            cost = costs.pack_time(spec.region.num_cells, remote=True)
+            cost += send_post
+            # cross-step slabs produced now are consumed next step; at
+            # bootstrap they feed the current step from the init data
+            if spec.cross_step and not from_bootstrap:
+                return ("send", (spec, True, "new"), cost)
+            return ("send", (spec, False, "old" if spec.cross_step else spec.dw), cost)
+
+        def copy_item(spec) -> tuple:
+            return ("copy", spec, costs.pack_time(spec.ncells, remote=False))
+
+        self.retire: dict[int, tuple[tuple, tuple, tuple]] = {}
+        for dt in local:
+            work = tuple(send_item(m) for m in graph.sends_after(dt))
+            work += tuple(copy_item(c) for c in graph.copies_after(dt))
+            reads: tuple = ()
+            if scrub and dt.patch is not None:
+                reads = tuple(
+                    (dep.label.name, dt.patch.patch_id)
+                    for dep in dt.task.requires
+                    if dep.dw == "old" and not dep.label.is_reduction
+                )
+            deps = tuple(d.dt_id for d in graph.dependents_of(dt))
+            self.retire[dt.dt_id] = (work, deps, reads)
+
+        self.recvs = [
+            (spec, costs.pack_time(spec.region.num_cells, remote=True))
+            for spec in graph.recvs_on(rank)
+        ]
+        sends = tuple(send_item(m) for m in graph.startup_sends(rank))
+        boots = tuple(send_item(m, from_bootstrap=True) for m in graph.bootstrap_sends(rank))
+        copies = tuple(copy_item(c) for c in graph.startup_copies(rank))
+        self.startup = sends + copies
+        self.bootstrap_startup = sends + boots + copies
+
+        self.scrub_counts: dict[tuple[str, int], int] = {}
+        self.bootstrap_scrub_counts: dict[tuple[str, int], int] = {}
+        if scrub:
+            counts = graph.old_dw_consumers(rank)
+            for spec in graph.startup_sends(rank):
+                if spec.dw == "old":
+                    key = (spec.label.name, spec.from_patch.patch_id)
+                    counts[key] = counts.get(key, 0) + 1
+            self.scrub_counts = counts
+            boot = dict(counts)
+            for spec in graph.bootstrap_sends(rank):
+                key = (spec.label.name, spec.from_patch.patch_id)
+                boot[key] = boot.get(key, 0) + 1
+            self.bootstrap_scrub_counts = boot
+
+
 class ReadinessTracker:
     """Blocker counting for one timestep's local detailed tasks.
 
@@ -89,60 +191,78 @@ class ReadinessTracker:
     copy feeding it has been performed.  ``on_ready`` (optional) fires
     once per task the moment it enters the ready queue — the lifecycle
     layer uses it for the PENDING → READY transition.
+
+    ``ready`` is one queue in readiness order; ``counts[slot]`` is how
+    many of its tasks have kind ``slot`` (:data:`KIND_SLOT`), so a pop
+    for a kind with nothing ready returns without a scan.
     """
 
-    def __init__(self, local_tasks, graph, on_ready=None):
-        self.blockers: dict[int, int] = {}
+    def __init__(self, plan: RankPlan, on_ready=None):
+        self.blockers = dict(plan.blockers)
         self.ready: list = []
-        self._tasks = {dt.dt_id: dt for dt in local_tasks}
+        self.counts = [0] * len(KIND_SLOT)
+        self._tasks = plan.tasks
+        self._slot = plan.kind_slot
         self._on_ready = on_ready
-        for dt in local_tasks:
-            n = len(graph.internal_deps[dt.dt_id])
-            n += len(graph.recvs_for(dt))
-            n += len(graph.copies_for(dt))
-            self.blockers[dt.dt_id] = n
-            if n == 0:
-                self.ready.append(dt)
-                if on_ready is not None:
-                    on_ready(dt)
+        for dt in plan.initially_ready:
+            self._enqueue(dt)
+
+    def _enqueue(self, dt) -> None:
+        self.ready.append(dt)
+        self.counts[self._slot[dt.dt_id]] += 1
+        if self._on_ready is not None:
+            self._on_ready(dt)
 
     def release(self, dt_id: int) -> None:
         """One blocker of ``dt_id`` resolved; enqueue when count hits zero."""
-        if dt_id not in self.blockers:
+        blockers = self.blockers
+        n = blockers.get(dt_id)
+        if n is None:
             return  # consumer lives on another rank
-        self.blockers[dt_id] -= 1
-        if self.blockers[dt_id] == 0:
-            dt = self._tasks[dt_id]
-            self.ready.append(dt)
-            if self._on_ready is not None:
-                self._on_ready(dt)
-        elif self.blockers[dt_id] < 0:
+        blockers[dt_id] = n = n - 1
+        if n == 0:
+            self._enqueue(self._tasks[dt_id])
+        elif n < 0:
             raise RuntimeError(f"blocker count of task {dt_id} went negative")
 
-    def pop_ready(self, predicate, key=None) -> object | None:
-        """Remove and return a ready task matching ``predicate``.
+    def pop(self, slot: int, key=None) -> object | None:
+        """Remove and return a ready task of kind ``slot``, or ``None``.
 
-        ``key`` (optional) selects among the matches: the highest-scoring
-        one is taken (ties keep queue order).  Without it, FIFO.
+        Without ``key``: the oldest one (FIFO within the kind).  With it:
+        the highest-scoring one, ties kept in queue order.
         """
+        counts = self.counts
+        if not counts[slot]:
+            return None
         ready = self.ready
-        if key is None:
-            for i, dt in enumerate(ready):
-                if predicate(dt):
-                    ready.pop(i)
-                    return dt
-            return None
-        matches = [(i, dt) for i, dt in enumerate(ready) if predicate(dt)]
-        if not matches:
-            return None
-        i, dt = max(matches, key=lambda pair: key(pair[1]))
-        ready.pop(i)
-        return dt
+        if key is None and counts[slot] == len(ready):
+            i = 0  # every ready task has this kind
+        else:
+            kind_slot = self._slot
+            best = None
+            for j, dt in enumerate(ready):
+                if kind_slot[dt.dt_id] != slot:
+                    continue
+                if key is None:
+                    i = j
+                    break
+                score = key(dt)
+                if best is None or score > best:
+                    best, i = score, j
+        counts[slot] -= 1
+        return ready.pop(i)
 
-    @property
-    def any_ready(self) -> bool:
-        """Whether any task is currently runnable."""
-        return bool(self.ready)
+    def requeue_front(self, dt) -> None:
+        """Put a retried task back at the head of the queue."""
+        self.ready.insert(0, dt)
+        self.counts[self._slot[dt.dt_id]] += 1
+
+    def drain(self) -> list:
+        """Remove and return every ready task, in queue order."""
+        out = self.ready[:]
+        self.ready.clear()
+        self.counts[:] = [0] * len(KIND_SLOT)
+        return out
 
 
 @dataclasses.dataclass
@@ -208,7 +328,12 @@ class SchedulerCore:
         self.mode = mode
         self.real = real
         self.trace = trace if trace is not None else Tracer(enabled=False)
+        #: Whether MPE charges record spans (read once: hot path).
+        self._tracing = self.trace.enabled
         self.stats = SchedulerStats()
+        #: Recovery intervals put on the timeline (watchdog aborts, MPE
+        #: fallbacks, stragglers), counted whether or not tracing is on.
+        self.recovery_spans = 0
         self.interference = (
             interference_simd if getattr(cost_model, "simd", False) else interference_scalar
         )
@@ -248,6 +373,11 @@ class SchedulerCore:
                 validator.subscriber_for(rank, graph, cost_model)
             )
 
+    @functools.cached_property
+    def plan(self) -> RankPlan:
+        """This rank's :class:`RankPlan`, built on the first timestep."""
+        return RankPlan(self.graph, self.rank, self.costs, self.scrub)
+
     def _mark_ready(self, dt) -> None:
         """ReadinessTracker ``on_ready`` hook: PENDING → READY."""
         self.lifecycle.transition(dt, TaskState.READY)
@@ -263,6 +393,7 @@ class SchedulerCore:
             # and aborts Simulator.run for checkpoint recovery.
             self.faults.on_step_begin(rank, step)
         local = graph.local_tasks(rank)
+        plan = self.plan
         self.lifecycle.begin_step(local, step=step)
         return StepContext(
             step=step,
@@ -272,8 +403,8 @@ class SchedulerCore:
             new_dw=new_dw,
             bootstrap=bootstrap,
             local=local,
-            tracker=ReadinessTracker(local, graph, on_ready=self._mark_ready),
-            remaining={d.dt_id for d in local},
+            tracker=ReadinessTracker(plan, on_ready=self._mark_ready),
+            remaining=set(plan.tasks),
             tag_base=step * graph.num_tags,
             next_tag_base=(step + 1) * graph.num_tags,
         )
@@ -281,20 +412,20 @@ class SchedulerCore:
     def finish_task(self, st: StepContext, comm, dt) -> None:
         """Retire a completed task: queue its sends and copies on the
         :class:`~repro.core.schedulers.commengine.CommEngine`, release
-        its dependents, and count its old-DW reads for scrubbing."""
+        its dependents, and count its old-DW reads for scrubbing, all
+        from the task's :class:`RankPlan` entry."""
         self.lifecycle.retire(dt)
         st.remaining.discard(dt.dt_id)
         comm.flush_stash(dt)
-        for spec in self.graph.sends_after(dt):
-            comm.queue_send(spec)
-        for spec in self.graph.copies_after(dt):
-            comm.queue_copy(spec)
-        for dep in self.graph.dependents_of(dt):
-            st.tracker.release(dep.dt_id)
-        if dt.patch is not None:
-            for dep in dt.task.requires:
-                if dep.dw == "old" and not dep.label.is_reduction:
-                    comm.consume_old(dep.label.name, dt.patch.patch_id)
+        work, dependents, old_reads = self.plan.retire[dt.dt_id]
+        push = comm.push
+        for item in work:
+            push(item)
+        release = st.tracker.release
+        for dep_id in dependents:
+            release(dep_id)
+        for key in old_reads:
+            comm.consume_old(key)
 
     def _ctx(self, patch, st: StepContext) -> TaskContext:
         return TaskContext(

@@ -31,106 +31,90 @@ class CommEngine:
     def __init__(self, sched, st, sink: _t.Callable[[tuple], None] | None = None):
         self.sched = sched
         self.st = st
+        self.plan = plan = sched.plan
         #: MPE work queue: (kind, payload, cost) items.
         self.work: collections.deque = collections.deque()
         #: Where queued items go: :attr:`work` unless the scheduler
         #: drains its own run queue.
-        self._push = self.work.append if sink is None else sink
+        self.push = self.work.append if sink is None else sink
         #: Ghost slabs whose destination patch has no producer output yet.
         self.pending_unpacks: dict[tuple[str, str, int], list] = {}
-        #: Posted receives not yet harvested: (spec, request).
-        self.recv_watch: list[tuple[MessageSpec, object]] = []
+        #: Posted receives not yet harvested: (spec, unpack cost, request).
+        self.recv_watch: list[tuple[MessageSpec, float, object]] = []
+        #: The fabric's per-rank count of scheduled receive completions,
+        #: and this rank's entry at the last scan of :attr:`recv_watch`
+        #: (-1 forces the first scan).
+        self._recvs_completed = sched.comm.fabric.recvs_completed
+        self._recvs_seen = -1
         #: In-flight allreduces: (request, task, t_start).
         self.pending_reductions: list[tuple[object, DetailedTask, float]] = []
         #: This step's outgoing sends (drained at step end).
         self.send_reqs: list = []
-        #: Old-DW variables die after their last consumer reads them.
-        self.scrub_counts: dict[tuple[str, int], int] = (
-            sched.graph.old_dw_consumers(sched.rank) if sched.scrub else {}
+        #: Old-DW variables die after their last consumer reads them
+        #: (the startup sends' reads are counted in already).
+        self.scrub_counts: dict[tuple[str, int], int] = dict(
+            plan.bootstrap_scrub_counts if st.bootstrap else plan.scrub_counts
         )
 
     # ------------------------------------------------------------ queueing
-    def queue_copy(self, spec: CopySpec) -> None:
-        self._push(("copy", spec, self.sched.costs.pack_time(spec.ncells, remote=False)))
-
-    def queue_send(self, spec: MessageSpec, from_bootstrap: bool = False) -> None:
-        # cross-step slabs produced now are consumed next step; at
-        # bootstrap they feed the current step from the init data
-        st = self.st
-        cost = self.sched.costs.pack_time(spec.region.num_cells, remote=True)
-        cost += self.sched.costs.sched.send_post
-        if spec.cross_step and not from_bootstrap:
-            self._push(("send", (spec, st.next_tag_base, "new"), cost))
-        else:
-            src_dw = "old" if spec.cross_step else spec.dw
-            self._push(("send", (spec, st.tag_base, src_dw), cost))
-
-    def queue_unpack(self, spec: MessageSpec, payload) -> None:
-        cost = self.sched.costs.pack_time(spec.region.num_cells, remote=True)
-        self._push(("unpack", (spec, payload), cost))
-
     def queue_startup(self) -> None:
         """Startup sends and copies: old-DW ghost data (and bootstrap)."""
-        sched, st = self.sched, self.st
-        graph, rank = sched.graph, sched.rank
-        for spec in graph.startup_sends(rank):
-            self.queue_send(spec)
-            if spec.dw == "old" and sched.scrub:
-                self.count_old_reader(spec.label.name, spec.from_patch.patch_id)
-        if st.bootstrap:
-            for spec in graph.bootstrap_sends(rank):
-                self.queue_send(spec, from_bootstrap=True)
-                if sched.scrub:
-                    self.count_old_reader(spec.label.name, spec.from_patch.patch_id)
-        for spec in graph.startup_copies(rank):
-            self.queue_copy(spec)
+        plan = self.plan
+        push = self.push
+        for item in plan.bootstrap_startup if self.st.bootstrap else plan.startup:
+            push(item)
+
+    def queue_unpacks(self, harvested: list) -> None:
+        """Queue one unpack per harvested ``(spec, cost, payload)``."""
+        push = self.push
+        for spec, cost, payload in harvested:
+            push(("unpack", (spec, payload), cost))
 
     # ------------------------------------------------------------ receives
     def post_recvs(self) -> _t.Generator:
         """Post non-blocking receives for every remote input (step 3a)."""
         sched, st = self.sched, self.st
-        my_recvs = sched.graph.recvs_on(sched.rank)
+        my_recvs = self.plan.recvs
         if my_recvs:
-            yield from sched._mpe("post-recvs", sched.costs.sched.recv_post * len(my_recvs))
-            for spec in my_recvs:
+            yield sched._mpe("post-recvs", sched.costs.sched.recv_post * len(my_recvs))
+            for spec, cost in my_recvs:
                 req = sched.comm.irecv(source=spec.from_rank, tag=st.tag_base + spec.tag)
-                self.recv_watch.append((spec, req))
+                self.recv_watch.append((spec, cost, req))
 
     def harvest_recvs(self) -> list | None:
-        """(3c) test MPI: collect completed receives (plain, no yields)."""
+        """(3c) test MPI: collect completed receives (plain, no yields).
+
+        The fabric counts scheduled receive completions per destination
+        rank; :attr:`recv_watch` is rescanned only when this rank's count
+        moved since the last scan, so an idle test costs O(1).
+        """
+        done = self._recvs_completed[self.sched.rank]
+        if done == self._recvs_seen:
+            return None
+        self._recvs_seen = done
         still = []
         harvested = []
-        for spec, req in self.recv_watch:
+        for spec, cost, req in self.recv_watch:
             if req.complete:
-                harvested.append((spec, req.value))
+                harvested.append((spec, cost, req.value))
             else:
-                still.append((spec, req))
+                still.append((spec, cost, req))
         if not harvested:
             return None
         self.recv_watch = still
         return harvested
 
-    def unpack_harvested(self, harvested: list) -> _t.Generator:
-        """Charge the MPI test and queue unpacks for harvested receives."""
-        yield from self.sched._mpe("mpi-test", self.sched.costs.sched.mpi_test)
-        for spec, payload in harvested:
-            self.queue_unpack(spec, payload)
-
     # ------------------------------------------------------------ scrubbing
-    def count_old_reader(self, label_name: str, pid: int) -> None:
-        key = (label_name, pid)
-        self.scrub_counts[key] = self.scrub_counts.get(key, 0) + 1
-
-    def consume_old(self, label_name: str, pid: int) -> None:
-        sched = self.sched
-        if not sched.scrub:
-            return
-        key = (label_name, pid)
+    def consume_old(self, key: tuple[str, int]) -> None:
+        """One reader of old-DW variable ``key = (label, patch)`` is done;
+        scrub the variable after its last reader."""
         left = self.scrub_counts.get(key)
         if left is None:
-            return
+            return  # scrubbing off, or not an old-DW variable of this rank
         if left <= 1:
             del self.scrub_counts[key]
+            sched = self.sched
+            label_name, pid = key
             if sched.real and self.st.old_dw is not None:
                 self.st.old_dw.scrub_named(label_name, pid)
             sched.lifecycle.emit("scrubbed", label=label_name, patch=pid)
@@ -152,9 +136,9 @@ class CommEngine:
                 key = (spec.dw, spec.label.name, spec.to_patch.patch_id)
                 self.pending_unpacks.setdefault(key, []).append((spec.region, data))
         if spec.dw == "old":
-            self.consume_old(spec.label.name, spec.from_patch.patch_id)
+            self.consume_old((spec.label.name, spec.from_patch.patch_id))
 
-    def apply_send(self, spec: MessageSpec, tagb: int, src_dw: str) -> None:
+    def apply_send(self, spec: MessageSpec, next_step: bool, src_dw: str) -> None:
         sched, st = self.sched, self.st
         payload = None
         if sched.real:
@@ -162,11 +146,11 @@ class CommEngine:
             payload = dw.get(spec.label, spec.from_patch).get_region(spec.region)
         req = sched.comm.isend(
             dest=spec.to_rank,
-            tag=tagb + spec.tag,
+            tag=(st.next_tag_base if next_step else st.tag_base) + spec.tag,
             nbytes=spec.nbytes,
             payload=payload,
         )
-        if tagb == st.next_tag_base:
+        if next_step:
             # consumed by the next timestep: completion is tracked
             # across the step boundary, never blocking this step
             sched._carryover_sends.append(req)
@@ -174,7 +158,7 @@ class CommEngine:
             self.send_reqs.append(req)
         sched.lifecycle.emit("msg-sent", nbytes=spec.nbytes)
         if src_dw == "old":
-            self.consume_old(spec.label.name, spec.from_patch.patch_id)
+            self.consume_old((spec.label.name, spec.from_patch.patch_id))
 
     def apply_unpack(self, spec: MessageSpec, payload) -> None:
         sched, st = self.sched, self.st
@@ -223,9 +207,8 @@ class CommEngine:
         sched.lifecycle.transition(dt, TaskState.DISPATCHED)
         sched.lifecycle.transition(dt, TaskState.RUNNING)
         partial = self.local_partial(dt)
-        yield from sched._mpe(
-            f"reduce-local:{dt.name}",
-            sched.costs.reduction_local_time(len(sched._local_patches)),
+        yield sched._mpe(
+            "reduce-local", sched.costs.reduction_local_time(len(sched._local_patches)), dt
         )
         req = sched.comm.iallreduce(partial, op=dt.task.reduction_op)
         self.pending_reductions.append((req, dt, sched.sim.now))
@@ -240,7 +223,7 @@ class CommEngine:
             self.pending_reductions.remove((req, dt, _t0))
             label = dt.task.computes[0]
             st.new_dw.put_reduction(label, req.value)
-            yield from sched._mpe(f"reduce-finish:{dt.name}", sched.costs.sched.mpi_test)
+            yield sched._mpe("reduce-finish", sched.costs.sched.mpi_test, dt)
             sched.finish_task(st, self, dt)
             sched.lifecycle.emit("reduction")
         return True
@@ -248,8 +231,8 @@ class CommEngine:
     # ------------------------------------------------------------ waiting
     def wait_events(self) -> list:
         """Events an idle MPE can block on: receives and allreduces."""
-        events = [req.event for _s, req in self.recv_watch if not req.complete]
-        events.extend(req.event for req, _d, _t0 in self.pending_reductions)
+        events = [req for _s, _c, req in self.recv_watch if not req.complete]
+        events.extend(req for req, _d, _t0 in self.pending_reductions)
         return events
 
     def drain_sends(self) -> _t.Generator:
@@ -258,5 +241,5 @@ class CommEngine:
         unfinished = [r for r in self.send_reqs if not r.complete]
         if unfinished:
             t0 = sched.sim.now
-            yield sched.sim.all_of([r.event for r in unfinished])
+            yield sched.sim.all_of(unfinished)
             sched.lifecycle.emit("idle", seconds=sched.sim.now - t0)

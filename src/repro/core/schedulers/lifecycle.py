@@ -48,15 +48,30 @@ class TaskState(enum.Enum):
 
 #: Legal moves.  FAILED -> READY is a re-offload retry; FAILED -> RUNNING
 #: is the sync-mode in-place respawn or the MPE fallback execution.
-_ALLOWED: dict[TaskState, frozenset[TaskState]] = {
-    TaskState.PENDING: frozenset({TaskState.READY}),
-    TaskState.READY: frozenset({TaskState.DISPATCHED}),
-    TaskState.DISPATCHED: frozenset({TaskState.RUNNING}),
-    TaskState.RUNNING: frozenset({TaskState.RETIRING, TaskState.FAILED}),
-    TaskState.RETIRING: frozenset({TaskState.DONE}),
-    TaskState.FAILED: frozenset({TaskState.READY, TaskState.RUNNING}),
-    TaskState.DONE: frozenset(),
+_ALLOWED: dict[TaskState, tuple[TaskState, ...]] = {
+    TaskState.PENDING: (TaskState.READY,),
+    TaskState.READY: (TaskState.DISPATCHED,),
+    TaskState.DISPATCHED: (TaskState.RUNNING,),
+    TaskState.RUNNING: (TaskState.RETIRING, TaskState.FAILED),
+    TaskState.RETIRING: (TaskState.DONE,),
+    TaskState.FAILED: (TaskState.READY, TaskState.RUNNING),
+    TaskState.DONE: (),
 }
+# Each state also carries its row as ``state.successors``: the per-event
+# legality check is then a tuple membership test, which compares
+# identities, instead of a dict lookup through the Python-level
+# ``Enum.__hash__`` (CPython 3.11).
+for _state, _successors in _ALLOWED.items():
+    _state.successors = _successors
+del _state, _successors
+
+# Aliases for the per-event paths: reading a member through the class
+# goes through ``EnumType.__getattr__``'s slow attribute hook.
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_RETIRING = TaskState.RETIRING
+_DONE = TaskState.DONE
+_FAILED = TaskState.FAILED
 
 
 class IllegalTransition(RuntimeError):
@@ -136,7 +151,7 @@ class TaskLifecycle:
         cur = self._state.get(dt.dt_id)
         if cur is None:
             raise IllegalTransition(f"task {dt.dt_id} is not part of this timestep")
-        if state not in _ALLOWED[cur]:
+        if state not in cur.successors:
             raise IllegalTransition(f"{dt.name}: illegal transition {cur.name} -> {state.name}")
         self._state[dt.dt_id] = state
         self._stats.on_transition(state, info)
@@ -147,9 +162,9 @@ class TaskLifecycle:
 
     def retire(self, dt, **info) -> None:
         """Finish a task: RETIRING (unless already there) then DONE."""
-        if self._state.get(dt.dt_id) is not TaskState.RETIRING:
-            self.transition(dt, TaskState.RETIRING)
-        self.transition(dt, TaskState.DONE, **info)
+        if self._state.get(dt.dt_id) is not _RETIRING:
+            self.transition(dt, _RETIRING)
+        self.transition(dt, _DONE, **info)
 
     def emit(self, kind: str, dt=None, **info) -> None:
         """Announce a named (non-transition) runtime event."""
@@ -175,9 +190,9 @@ class StatsSubscriber:
     def on_transition(self, state: TaskState, info: dict) -> None:
         """Fold one state transition."""
         s = self.stats
-        if state is TaskState.DONE:
+        if state is _DONE:
             s.tasks_run += 1
-        elif state is TaskState.RUNNING:
+        elif state is _RUNNING:
             backend = info.get("backend")
             if backend == "cpe":
                 if info.get("retry"):
@@ -190,38 +205,79 @@ class StatsSubscriber:
             elif backend == "mpe_fallback":
                 s.mpe_fallbacks += 1
                 s.kernels_on_mpe += 1
-        elif state is TaskState.READY and info.get("retry"):
+        elif state is _READY and info.get("retry"):
             s.kernel_retries += 1
-        elif state is TaskState.FAILED and info.get("cause") == "timeout":
+        elif state is _FAILED and info.get("cause") == "timeout":
             s.kernel_timeouts += 1
 
     def on_event(self, kind: str, info: dict) -> None:
-        """Fold one named (non-transition) event."""
-        s = self.stats
-        if kind == "msg-sent":
-            s.messages_sent += 1
-            s.bytes_sent += info["nbytes"]
-        elif kind == "msg-recv":
-            s.messages_received += 1
-            s.bytes_received += info["nbytes"]
-        elif kind == "local-copy":
-            s.local_copies += 1
-        elif kind == "reduction":
-            s.reductions += 1
-        elif kind == "scrubbed":
-            s.scrubbed += 1
-        elif kind == "flops":
-            s.kernel_flops += info["n"]
-        elif kind == "idle":
-            s.idle_wait += info["seconds"]
-        elif kind == "spin":
-            s.spin_wait += info["seconds"]
-        elif kind == "straggler":
-            s.stragglers_detected += 1
-        elif kind == "kernel-timeout":
-            s.kernel_timeouts += 1
-        elif kind == "kernel-retry":
-            s.kernel_retries += 1
+        """Fold one named (non-transition) event; unknown kinds count nothing."""
+        fold = _EVENT_FOLDS.get(kind)
+        if fold is not None:
+            fold(self.stats, info)
+
+
+def _fold_msg_sent(s, info: dict) -> None:
+    s.messages_sent += 1
+    s.bytes_sent += info["nbytes"]
+
+
+def _fold_msg_recv(s, info: dict) -> None:
+    s.messages_received += 1
+    s.bytes_received += info["nbytes"]
+
+
+def _fold_local_copy(s, info: dict) -> None:
+    s.local_copies += 1
+
+
+def _fold_reduction(s, info: dict) -> None:
+    s.reductions += 1
+
+
+def _fold_scrubbed(s, info: dict) -> None:
+    s.scrubbed += 1
+
+
+def _fold_flops(s, info: dict) -> None:
+    s.kernel_flops += info["n"]
+
+
+def _fold_idle(s, info: dict) -> None:
+    s.idle_wait += info["seconds"]
+
+
+def _fold_spin(s, info: dict) -> None:
+    s.spin_wait += info["seconds"]
+
+
+def _fold_straggler(s, info: dict) -> None:
+    s.stragglers_detected += 1
+
+
+def _fold_kernel_timeout(s, info: dict) -> None:
+    s.kernel_timeouts += 1
+
+
+def _fold_kernel_retry(s, info: dict) -> None:
+    s.kernel_retries += 1
+
+
+#: Named event -> the fold applying it to ``SchedulerStats`` (one dict
+#: lookup per event).
+_EVENT_FOLDS: dict[str, _t.Callable[[object, dict], None]] = {
+    "msg-sent": _fold_msg_sent,
+    "msg-recv": _fold_msg_recv,
+    "local-copy": _fold_local_copy,
+    "reduction": _fold_reduction,
+    "scrubbed": _fold_scrubbed,
+    "flops": _fold_flops,
+    "idle": _fold_idle,
+    "spin": _fold_spin,
+    "straggler": _fold_straggler,
+    "kernel-timeout": _fold_kernel_timeout,
+    "kernel-retry": _fold_kernel_retry,
+}
 
 
 class TraceSubscriber:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from repro.core.schedulers.base import KERNEL_SLOT
 from repro.core.schedulers.lifecycle import TaskState
 from repro.core.task import DetailedTask, TaskKind
 from repro.sunway.athread import CompletionFlag
@@ -84,10 +85,6 @@ class OffloadEngine:
         self.num_groups = sched.backend.num_groups(sched.athread)
         self.interference = sched.interference_model
 
-    @staticmethod
-    def is_offloadable(d: DetailedTask) -> bool:
-        return d.task.kind is TaskKind.CPE_KERNEL
-
     def count_flops(self, dt: DetailedTask) -> None:
         # useful work is counted once per task, however many times a
         # fault forces it to be re-executed
@@ -144,7 +141,7 @@ class OffloadEngine:
     def any_done(self) -> bool:
         """Whether a completion flag is set (plain fast-path check)."""
         for fl in self.inflight.values():
-            if fl.handle.done:
+            if fl.handle.event.triggered:
                 return True
         return False
 
@@ -176,7 +173,7 @@ class OffloadEngine:
                 # memory interference from overlapped MPE traffic
                 # stretched the kernel (see InterferenceModel)
                 t0 = sim.now
-                yield sim.timeout(debt)
+                yield debt
                 sched.lifecycle.emit(
                     "interference",
                     done_dt,
@@ -186,6 +183,7 @@ class OffloadEngine:
                 sched.policy is not None
                 and fl.handle.duration > sched.policy.straggler_factor * fl.expected
             ):
+                sched.recovery_spans += 1
                 sched.lifecycle.emit(
                     "straggler",
                     done_dt,
@@ -211,6 +209,7 @@ class OffloadEngine:
             if not self.inflight:
                 self.interference.kernel_inflight = False
             self.interference.overlap_busy = 0.0
+            sched.recovery_spans += 1
             sched.lifecycle.transition(
                 fl.dt,
                 TaskState.FAILED,
@@ -227,7 +226,7 @@ class OffloadEngine:
         sched = self.sched
         if sched.retry_governor.should_retry(dt):
             sched.lifecycle.transition(dt, TaskState.READY, retry=True)
-            self.st.tracker.ready.insert(0, dt)  # retry ahead of fresh work
+            self.st.tracker.requeue_front(dt)  # retry ahead of fresh work
         else:
             yield from self.mpe_fallback(dt)
 
@@ -239,10 +238,8 @@ class OffloadEngine:
         action = sched.kernel_action(self.st, dt)
         if action is not None:
             action()
-        yield from sched._mpe(
-            f"recover-fallback:{dt.name}",
-            sched.costs.mpe_kernel_time(dt.task, dt.patch),
-        )
+        yield sched._mpe("recover-fallback", sched.costs.mpe_kernel_time(dt.task, dt.patch), dt)
+        sched.recovery_spans += 1  # where the traced span is recorded
         self.count_flops(dt)
         sched.finish_task(self.st, self.comm, dt)
 
@@ -314,14 +311,13 @@ class OffloadEngine:
     def prefetch_candidate(self) -> DetailedTask | None:
         """Next ready kernel whose MPE part can be pre-run (plain check)."""
         st = self.st
-        return next(
-            (
-                d
-                for d in st.tracker.ready
-                if self.is_offloadable(d) and d.dt_id not in st.prepared
-            ),
-            None,
-        )
+        if not st.tracker.counts[KERNEL_SLOT]:
+            return None
+        prepared = st.prepared
+        for d in st.tracker.ready:
+            if d.task.kind is TaskKind.CPE_KERNEL and d.dt_id not in prepared:
+                return d
+        return None
 
     # ------------------------------------------------------------ waiting
     def wait_events(self) -> list:

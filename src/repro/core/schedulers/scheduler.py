@@ -39,11 +39,19 @@ import typing as _t
 
 from repro.core.datawarehouse import DataWarehouse
 from repro.core.schedulers.backends import CPEBackend, MPEBackend
-from repro.core.schedulers.base import DeadlockError, SchedulerCore, StepContext
+from repro.core.schedulers.base import (
+    KERNEL_SLOT,
+    MPE_SLOT,
+    REDUCTION_SLOT,
+    DeadlockError,
+    SchedulerCore,
+    StepContext,
+)
 from repro.core.schedulers.commengine import CommEngine
 from repro.core.schedulers.lifecycle import TaskState
 from repro.core.schedulers.offload import InterferenceModel, OffloadEngine
-from repro.core.task import DetailedTask, TaskKind
+from repro.core.task import DetailedTask
+from repro.des.event import Timeout
 
 MODES = ("async", "sync", "mpe_only")
 
@@ -52,14 +60,6 @@ _BACKENDS = {
     "sync": lambda: CPEBackend(blocking=True),
     "mpe_only": MPEBackend,
 }
-
-
-def _is_mpe_kind(d: DetailedTask) -> bool:
-    return d.task.kind is TaskKind.MPE
-
-
-def _is_reduction(d: DetailedTask) -> bool:
-    return d.task.kind is TaskKind.REDUCTION
 
 
 class SunwayScheduler(SchedulerCore):
@@ -82,30 +82,46 @@ class SunwayScheduler(SchedulerCore):
         self.backend = _BACKENDS[mode]()
 
     # ------------------------------------------------------------------ helpers
-    def _mpe(self, name: str, cost: float) -> _t.Generator:
-        """Charge MPE time and trace it.
+    def _mpe(self, label: str, cost: float, dt: DetailedTask | None = None) -> float | Timeout:
+        """Charge ``cost`` seconds of MPE time; the caller yields the result.
+
+        Returns ``cost`` itself, a float sleep for the DES process
+        (:mod:`repro.des.process`).  With tracing on it returns a
+        :class:`~repro.des.event.Timeout` instead, whose first callback
+        records the span ``label`` (``label:task`` when ``dt`` is given)
+        when the sleep ends, just before the process resumes; the span
+        name is only built then.
 
         While a kernel is in flight (async mode), MPE bulk work competes
         with CPE DMA for the shared memory controller: the busy time
-        feeds the :class:`InterferenceModel`'s debt pool.  Spans here are
-        traced directly (not via lifecycle events): this is the hottest
-        path in the DES loop and carries no task-state information.
+        feeds the :class:`InterferenceModel`'s debt pool.  Adding it
+        before the sleep is exact: only this rank's scheduler process
+        touches the model, and that process is suspended for the whole
+        sleep.
         """
-        t0 = self.sim.now
-        yield self.sim.timeout(cost)
         im = self.interference_model
         if im.kernel_inflight:
             im.overlap_busy += cost
-        self.trace.record(self.rank, "mpe", name, t0, self.sim.now)
+        if not self._tracing:
+            return cost
+        sim = self.sim
+        t0 = sim.now
+        name = label if dt is None else f"{label}:{dt.name}"
+        sleep = sim.timeout(cost)
+        sleep._add_callback(lambda _ev: self.trace.record(self.rank, "mpe", name, t0, sim.now))
+        return sleep
 
-    def run_mpe_part(self, st: StepContext, dt: DetailedTask) -> _t.Generator:
-        """Run a task's serial MPE preparation part once (step 3b iii)."""
+    def run_mpe_part(self, st: StepContext, dt: DetailedTask) -> float | Timeout | None:
+        """Run a task's serial MPE preparation part once (step 3b iii).
+
+        Returns the MPE charge for the caller to yield, or ``None`` when
+        the part costs nothing.
+        """
         cost = self.costs.mpe_part_time(dt.task, dt.patch, self.graph.grid)
-        if cost > 0:
-            if self.real and dt.task.mpe_action is not None:
-                dt.task.mpe_action(self._ctx(dt.patch, st))
-            yield from self._mpe(f"mpe-part:{dt.name}", cost)
+        if cost > 0 and self.real and dt.task.mpe_action is not None:
+            dt.task.mpe_action(self._ctx(dt.patch, st))
         st.prepared.add(dt.dt_id)
+        return self._mpe("mpe-part", cost, dt) if cost > 0 else None
 
     def kernel_action(self, st: StepContext, dt: DetailedTask):
         """The task's real numeric action bound to this step's context."""
@@ -117,14 +133,16 @@ class SunwayScheduler(SchedulerCore):
     def _run_mpe_task(self, st, comm, nxt: DetailedTask) -> _t.Generator:
         """(3d) small MPE-kind task: select, prepare, execute, finish."""
         self.lifecycle.transition(nxt, TaskState.DISPATCHED)
-        yield from self._mpe("task-select", self.costs.sched.task_select)
+        yield self._mpe("task-select", self.costs.sched.task_select)
         if nxt.dt_id not in st.prepared:
-            yield from self.run_mpe_part(st, nxt)
+            part = self.run_mpe_part(st, nxt)
+            if part is not None:
+                yield part
         self.lifecycle.transition(nxt, TaskState.RUNNING)
         action = self.kernel_action(st, nxt)
         if action is not None:
             action()
-        yield from self._mpe(f"mpe-task:{nxt.name}", self.costs.mpe_task_time(nxt.task, nxt.patch))
+        yield self._mpe("mpe-task", self.costs.mpe_task_time(nxt.task, nxt.patch), nxt)
         self.finish_task(st, comm, nxt)
 
     def _idle_wait(self, st, comm, offload) -> _t.Generator:
@@ -175,20 +193,24 @@ class SunwayScheduler(SchedulerCore):
         # the plain-function guards in front of each `yield from` keep the
         # hot loop from building a delegate generator per engine per
         # iteration when there is nothing to do (the monolith's inlined
-        # blocks had that property for free)
+        # blocks had that property for free); MPE charges are plain
+        # floats yielded straight to the DES
         tracker = st.tracker
+        ready, counts = tracker.ready, tracker.counts
+        work = comm.work
         reg = self.telemetry
-        while st.remaining or comm.work:
+        while st.remaining or work:
             progressed = False
             if reg is not None:
-                reg.observe("sched.ready_depth", len(tracker.ready))
+                reg.observe("sched.ready_depth", len(ready))
                 reg.observe("cpe.inflight", len(offload.inflight))
-                reg.observe("comm.workq_depth", len(comm.work))
+                reg.observe("comm.workq_depth", len(work))
 
             # (3c) test MPI: harvest completed receives
             harvested = comm.harvest_recvs()
             if harvested is not None:
-                yield from comm.unpack_harvested(harvested)
+                yield self._mpe("mpi-test", self.costs.sched.mpi_test)
+                comm.queue_unpacks(harvested)
                 progressed = True
             # completed allreduces -> finalize reduction tasks
             if comm.pending_reductions and (yield from comm.finish_reductions()):
@@ -202,34 +224,33 @@ class SunwayScheduler(SchedulerCore):
                 if self._watchdog and (yield from offload.watchdog()):
                     progressed = True
             # dispatch ready kernels onto the execution backend
-            if tracker.ready and len(offload.inflight) < offload.num_groups:
+            if counts[KERNEL_SLOT] and len(offload.inflight) < offload.num_groups:
                 if (yield from backend.run_kernels(self, st, comm, offload)):
                     progressed = True
 
             # (3d) other MPE tasks: small kernels and reductions
-            if tracker.ready:
-                nxt = tracker.pop_ready(_is_mpe_kind)
-                if nxt is not None:
-                    yield from self._run_mpe_task(st, comm, nxt)
-                    progressed = True
-                nxt = tracker.pop_ready(_is_reduction)
-                if nxt is not None:
-                    yield from comm.start_reduction(nxt)
-                    progressed = True
+            if counts[MPE_SLOT]:
+                yield from self._run_mpe_task(st, comm, tracker.pop(MPE_SLOT))
+                progressed = True
+            if counts[REDUCTION_SLOT]:
+                yield from comm.start_reduction(tracker.pop(REDUCTION_SLOT))
+                progressed = True
 
             # one queued MPE work item (copies, packs, unpacks)
-            if comm.work:
-                kind, payload, cost = comm.work.popleft()
-                yield from self._mpe(kind, cost)
+            if work:
+                kind, payload, cost = work.popleft()
+                yield self._mpe(kind, cost)
                 comm.apply(kind, payload)
                 progressed = True
-            elif backend.overlaps and offload.inflight and tracker.ready:
+            elif backend.overlaps and offload.inflight and counts[KERNEL_SLOT]:
                 # idle MPE during a kernel: pre-process the MPE part of
                 # the next ready kernel so it launches instantly (step 3d
                 # "small kernels").
                 cand = offload.prefetch_candidate()
                 if cand is not None:
-                    yield from self.run_mpe_part(st, cand)
+                    part = self.run_mpe_part(st, cand)
+                    if part is not None:
+                        yield part
                     progressed = True
 
             if progressed:

@@ -4,7 +4,7 @@ Which ready CPE-kernel task should the MPE dispatch next?  The paper's
 runtime pops in FIFO order; Uintah's Unified scheduler and the Task
 Bench AMT comparisons motivate alternatives.  Each strategy is a small
 object built once per (graph, rank): it pre-scores the rank's tasks and
-hands :meth:`~repro.core.schedulers.base.ReadinessTracker.pop_ready` a
+hands :meth:`~repro.core.schedulers.base.ReadinessTracker.pop` a
 ``key`` function (``None`` means plain queue order).  Scoring is
 max-wins with FIFO tie-breaking, so FIFO remains the degenerate policy.
 
@@ -20,7 +20,7 @@ class SelectionPolicy:
 
     Subclasses override :meth:`scores` to map each local task to a
     numeric priority, or leave it returning ``None`` for FIFO order.
-    ``key_fn`` is what the scheduler passes to ``pop_ready``.
+    ``key_fn`` is what the scheduler passes to ``ReadinessTracker.pop``.
     """
 
     name = "base"

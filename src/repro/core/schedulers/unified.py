@@ -107,8 +107,7 @@ class UnifiedHostScheduler(SchedulerCore):
         comm = CommEngine(self, st, sink=pool.push)
 
         def push_ready_tasks() -> None:
-            while tracker.any_ready:
-                dt = tracker.ready.pop(0)
+            for dt in tracker.drain():
                 self.lifecycle.transition(dt, TaskState.DISPATCHED, backend="host")
                 pool.push(("task", dt, None))
 
@@ -118,12 +117,12 @@ class UnifiedHostScheduler(SchedulerCore):
             pool.maybe_finish(not st.remaining)
 
         # -- receive watchers (event-driven, zero host cost) ---------------
-        def recv_watcher(spec, req):
-            comm.queue_unpack(spec, (yield req.event))
+        def recv_watcher(spec, cost, req):
+            comm.push(("unpack", (spec, (yield req)), cost))
 
-        for spec in graph.recvs_on(rank):
+        for spec, cost in self.plan.recvs:
             req = self.comm.irecv(source=spec.from_rank, tag=st.tag_base + spec.tag)
-            sim.process(recv_watcher(spec, req), name=f"recvw-r{rank}")
+            sim.process(recv_watcher(spec, cost, req), name=f"recvw-r{rank}")
 
         comm.queue_startup()
         self._carryover_sends = [r for r in self._carryover_sends if not r.complete]
@@ -158,7 +157,7 @@ class UnifiedHostScheduler(SchedulerCore):
                 req = self.comm.iallreduce(partial, op=task.reduction_op)
 
                 def reduce_watcher(req=req, dt=dt):
-                    value = yield req.event
+                    value = yield req
                     st.new_dw.put_reduction(dt.task.computes[0], value)
                     self.lifecycle.emit("reduction", dt)
                     finish_task(dt)
@@ -202,4 +201,4 @@ class UnifiedHostScheduler(SchedulerCore):
         # records no idle time, which counts a blocked MPE loop
         unfinished = [r for r in comm.send_reqs if not r.complete]
         if unfinished:
-            yield sim.all_of([r.event for r in unfinished])
+            yield sim.all_of(unfinished)

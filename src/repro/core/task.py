@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import typing as _t
 
 from repro.core.patch import Patch
@@ -159,9 +160,9 @@ class DetailedTask:
     def __hash__(self) -> int:
         return self.dt_id
 
-    @property
+    @functools.cached_property
     def name(self) -> str:
-        """Stable human-readable id used in traces."""
+        """Stable human-readable id used in traces (built once)."""
         where = f"p{self.patch.patch_id}" if self.patch is not None else f"r{self.rank}"
         return f"{self.task.name}@{where}"
 

@@ -27,6 +27,7 @@ away.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as _t
 
 from repro.core.grid import Grid
@@ -63,7 +64,7 @@ class MessageSpec:
     #: True when produced in step s and consumed in step s+1 (old-DW data).
     cross_step: bool = False
 
-    @property
+    @functools.cached_property
     def nbytes(self) -> int:
         """Message payload size."""
         return self.region.num_cells * self.label.itemsize

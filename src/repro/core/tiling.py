@@ -216,10 +216,28 @@ class TilePlan:
         )
 
     def per_cpe_work(self) -> list[list[TileWork]]:
-        """Per-CPE :class:`TileWork` lists for the cluster cost model."""
-        return [
-            [self.tile_work(t) for t in tiles] for tiles in self.per_cpe_tile_indices()
-        ]
+        """Per-CPE :class:`TileWork` lists for the cluster cost model.
+
+        Each CPE's list follows :meth:`per_cpe_tile_indices`.  Tiles of one
+        shape share one :class:`TileWork`: a plan has at most 8 shapes
+        (interior or clipped edge along each axis).
+        """
+        ex, ey, ez = (
+            [min(t, p - i * t) for i in range(n)]
+            for p, t, n in zip(self.patch_extent, self.tile_shape, self.tile_counts)
+        )
+        works: dict[tuple[int, int, int], TileWork] = {}
+        out = []
+        for tiles in self.per_cpe_tile_indices():
+            row = []
+            for tile in tiles:
+                shape = (ex[tile[0]], ey[tile[1]], ez[tile[2]])
+                work = works.get(shape)
+                if work is None:
+                    work = works[shape] = self.tile_work(tile)
+                row.append(work)
+            out.append(row)
+        return out
 
     def ldm_working_set(self) -> int:
         """Worst-case LDM bytes over all tiles; must fit the LDM."""

@@ -10,7 +10,8 @@ self-contained, SimPy-flavoured discrete-event kernel:
   processes, created with :meth:`Simulator.process`.
 * :class:`~repro.des.event.Event`, :class:`~repro.des.event.Timeout`,
   :func:`~repro.des.event.all_of`, :func:`~repro.des.event.any_of` —
-  the things a process can ``yield``.
+  the things a process can ``yield``, besides a non-negative ``float``
+  (a sleep of that many seconds, without building an event).
 * :class:`~repro.des.resources.Store` — an unbounded FIFO with blocking
   ``get``.
 

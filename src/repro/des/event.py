@@ -77,7 +77,7 @@ class Event:
     # -- triggering --------------------------------------------------------
     def succeed(self, value: object = None, delay: float = 0.0) -> "Event":
         """Schedule this event to fire successfully after ``delay``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = True
         self._value = value

@@ -25,32 +25,34 @@ class Simulator:
     makes every run bit-reproducible — a property the scheduler
     distribution-invariance tests rely on.
 
+    A process yields an :class:`Event` to wait for it, or a non-negative
+    ``float`` to sleep that many seconds: ``yield 1.5`` schedules the same
+    heap entry as ``yield sim.timeout(1.5)`` without building the event
+    (see :mod:`repro.des.process`).
+
     Typical use::
 
         sim = Simulator()
 
         def worker(sim):
             yield sim.timeout(1.5)
+            yield 0.5
             return "done"
 
         proc = sim.process(worker(sim))
         sim.run()
-        assert sim.now == 1.5 and proc.value == "done"
+        assert sim.now == 2.0 and proc.value == "done"
     """
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        #: Current simulated time in seconds.  A plain attribute, read on
+        #: every event; only :meth:`step` and :meth:`run` advance it.
+        self.now = float(start_time)
         self._queue: list[tuple[float, int, object]] = []
         self._seq = 0
         #: Events processed by :meth:`run` over this simulator's life
         #: (updated when each ``run`` call returns or raises).
         self.events_run = 0
-
-    # -- clock ---------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # -- event factories -------------------------------------------------
     def event(self, name: str | None = None) -> Event:
@@ -77,7 +79,7 @@ class Simulator:
     def _schedule(self, item: object, delay: float) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        heapq.heappush(self._queue, (self._now + delay, self._seq, item))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, item))
         self._seq += 1
 
     def step(self) -> None:
@@ -86,8 +88,8 @@ class Simulator:
             when, _, item = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no events scheduled") from None
-        assert when >= self._now, "event queue went backwards"
-        self._now = when
+        assert when >= self.now, "event queue went backwards"
+        self.now = when
         item._process()  # type: ignore[attr-defined]
 
     def run(
@@ -139,20 +141,20 @@ class Simulator:
                     raise _t.cast(BaseException, target.value)
                 return target.value
             horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(f"until={horizon} is in the past (now={self._now})")
+            if horizon < self.now:
+                raise ValueError(f"until={horizon} is in the past (now={self.now})")
             while queue and queue[0][0] <= horizon:
                 if count >= limit:
                     self._runaway(max_events)
                 count += 1
                 step()
-            self._now = horizon
+            self.now = horizon
             return None
         finally:
             self.events_run += count
 
     def _runaway(self, max_events: int | None) -> _t.NoReturn:
         raise RuntimeError(
-            f"simulation exceeded max_events={max_events} at t={self._now} "
+            f"simulation exceeded max_events={max_events} at t={self.now} "
             "(zero-delay loop?)"
         )

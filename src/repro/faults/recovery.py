@@ -103,7 +103,6 @@ class ResilientRunner:
             num_ranks=ranks,
             mode=self.mode,
             real=self.real,
-            trace_enabled=True,
             faults=self.injector,
             resilience=self.policy,
             **self.controller_kwargs,
@@ -126,12 +125,12 @@ class ResilientRunner:
             into.merge(sched.stats)
 
     @staticmethod
-    def _recovery_spans(trace) -> int:
-        return sum(
-            1
-            for s in trace.spans
-            if s.name.startswith(("recover-", "straggler:"))
-        )
+    def _recovery_spans(controller: SimulationController) -> int:
+        """Recovery intervals (watchdog aborts, MPE fallbacks, stragglers)
+        the controller's schedulers put on the timeline, aborted segments
+        included; counted where emitted, so tracing can stay off."""
+        scheds = controller.init_schedulers + controller.schedulers
+        return sum(sched.recovery_spans for sched in scheds)
 
     # ------------------------------------------------------------------ run
     def run(self) -> ResilienceReport:
@@ -167,7 +166,7 @@ class ResilientRunner:
                 recoveries += 1
                 replayed += max(0, exc.step - 1 - done)
                 faulty_time += controller.sim.now
-                spans += self._recovery_spans(controller.trace)
+                spans += self._recovery_spans(controller)
                 self._fold(controller, stats)
                 if ranks <= 1:
                     raise RuntimeError(
@@ -177,7 +176,7 @@ class ResilientRunner:
                 continue
             done += chunk
             faulty_time += result.total_time
-            spans += self._recovery_spans(result.trace)
+            spans += self._recovery_spans(controller)
             self._fold(controller, stats)
             self.final_dws = result.final_dws
             self.last_result = result

@@ -69,13 +69,17 @@ class FabricConfig:
 
 
 class _Channel:
-    """FIFO matching queue for one (source, dest, tag) triple."""
+    """FIFO matching queue for one (source, dest, tag) triple.
+
+    ``sends`` holds ``(request, payload)`` pairs (request ``None`` for a
+    self-message delivered through memory); ``recvs`` holds requests.
+    """
 
     __slots__ = ("sends", "recvs")
 
     def __init__(self) -> None:
-        self.sends: collections.deque = collections.deque()
-        self.recvs: collections.deque = collections.deque()
+        self.sends: collections.deque[tuple[SendRequest | None, object]] = collections.deque()
+        self.recvs: collections.deque[RecvRequest] = collections.deque()
 
 
 class Fabric:
@@ -112,6 +116,10 @@ class Fabric:
         self._nic_free: list[float] = [0.0] * num_ranks
         self.messages_sent = 0
         self.bytes_sent = 0
+        #: Receives whose completion was scheduled, per destination rank —
+        #: bumped where a receive's event is triggered, so a rank's
+        #: ``MPI_Test`` rescans its pending receives only when this moved.
+        self.recvs_completed: list[int] = [0] * num_ranks
         #: Optional :class:`~repro.faults.injector.FaultInjector` and
         #: :class:`~repro.faults.policies.ResiliencePolicy`.
         self.faults = faults
@@ -155,18 +163,17 @@ class Fabric:
         self.bytes_sent += nbytes
         if source == dest:
             # Self-messages short-circuit through memory: cheap but not free.
-            req.event.succeed(None, delay=0.0)
+            req.succeed(None, delay=0.0)
             self._deliver_local(source, dest, tag, payload)
             return req
         chan = self._channel(source, dest, tag)
-        entry = {"req": req, "payload": payload, "posted": self.sim.now}
         if chan.recvs:
-            self._match(entry, chan.recvs.popleft())
+            self._match(req, payload, chan.recvs.popleft())
         else:
-            chan.sends.append(entry)
+            chan.sends.append((req, payload))
             if nbytes <= self.config.eager_threshold:
                 # Eager protocol: the send buffer is copied out immediately.
-                req.event.succeed(None, delay=self.config.sw_overhead)
+                req.succeed(None, delay=self.config.sw_overhead)
         return req
 
     def post_recv(self, source: int, dest: int, tag: int) -> RecvRequest:
@@ -174,32 +181,25 @@ class Fabric:
         self._check_rank(source)
         self._check_rank(dest)
         req = RecvRequest(self.sim, source, tag)
-        if source == dest:
-            chan = self._channel(source, dest, tag)
-            if chan.sends:
-                entry = chan.sends.popleft()
-                req.event.succeed(entry["payload"], delay=0.0)
-            else:
-                chan.recvs.append({"req": req, "posted": self.sim.now})
-            return req
         chan = self._channel(source, dest, tag)
-        if chan.sends:
-            self._match(chan.sends.popleft(), {"req": req, "posted": self.sim.now})
+        if not chan.sends:
+            chan.recvs.append(req)
+        elif source == dest:
+            req.succeed(chan.sends.popleft()[1], delay=0.0)
+            self.recvs_completed[dest] += 1
         else:
-            chan.recvs.append({"req": req, "posted": self.sim.now})
+            self._match(*chan.sends.popleft(), req)
         return req
 
     def _deliver_local(self, source: int, dest: int, tag: int, payload: object) -> None:
         chan = self._channel(source, dest, tag)
         if chan.recvs:
-            entry = chan.recvs.popleft()
-            entry["req"].event.succeed(payload, delay=0.0)
+            chan.recvs.popleft().succeed(payload, delay=0.0)
+            self.recvs_completed[dest] += 1
         else:
-            chan.sends.append({"payload": payload, "posted": self.sim.now})
+            chan.sends.append((None, payload))
 
-    def _match(self, send_entry: dict, recv_entry: dict) -> None:
-        send_req: SendRequest = send_entry["req"]
-        recv_req: RecvRequest = recv_entry["req"]
+    def _match(self, send_req: SendRequest, payload: object, recv_req: RecvRequest) -> None:
         # Transfer runs once both sides are posted (match happens "now").
         if self.config.serialize_nic:
             now = self.sim.now
@@ -229,21 +229,24 @@ class Fabric:
                 if fault.drop:
                     self.messages_dropped += 1
                     self.sim.process(
-                        self._retransmit(send_entry, recv_entry, done_in),
+                        self._retransmit(send_req, payload, recv_req, done_in),
                         name=f"retx:{send_req.source}->{send_req.dest}",
                     )
                     return
-        self._deliver(send_entry, recv_entry, done_in)
+        self._deliver(send_req, payload, recv_req, done_in)
 
-    def _deliver(self, send_entry: dict, recv_entry: dict, done_in: float) -> None:
+    def _deliver(
+        self, send_req: SendRequest, payload: object, recv_req: RecvRequest, done_in: float
+    ) -> None:
         """Complete both sides of a matched transfer ``done_in`` from now."""
-        send_req: SendRequest = send_entry["req"]
-        recv_req: RecvRequest = recv_entry["req"]
-        recv_req.event.succeed(send_entry["payload"], delay=done_in)
-        if not send_req.event.triggered:  # large message: rendezvous completion
-            send_req.event.succeed(None, delay=done_in)
+        recv_req.succeed(payload, delay=done_in)
+        self.recvs_completed[send_req.dest] += 1
+        if not send_req.complete:  # large message: rendezvous completion
+            send_req.succeed(None, delay=done_in)
 
-    def _retransmit(self, send_entry: dict, recv_entry: dict, wire_cost: float):
+    def _retransmit(
+        self, send_req: SendRequest, payload: object, recv_req: RecvRequest, wire_cost: float
+    ):
         """Reliable-transport recovery of a dropped message.
 
         The sender detects the loss after the wire time plus an
@@ -252,7 +255,6 @@ class Fabric:
         budget forces the message through — the simulated analogue of a
         link-level reliable channel underneath lossy injection.
         """
-        send_req: SendRequest = send_entry["req"]
         pol = self.policy
         backoff_base = pol.mpi_backoff_base if pol else self._DEFAULT_BACKOFF
         jitter_frac = pol.mpi_backoff_jitter if pol else self._DEFAULT_JITTER
@@ -263,13 +265,13 @@ class Fabric:
             attempt += 1
             rto = backoff_base * (2.0 ** (attempt - 1))
             rto *= 1.0 + jitter_frac * self.faults.jitter()
-            yield self.sim.timeout(wire_cost + rto)
+            yield wire_cost + rto
             self.retries_by_rank[send_req.source] += 1
             self.bytes_sent += send_req.nbytes
             if attempt >= max_retries or not self.faults.redrop(self.sim.now, site):
                 break
             self.messages_dropped += 1
-        self._deliver(send_entry, recv_entry, wire_cost)
+        self._deliver(send_req, payload, recv_req, wire_cost)
 
     def _nic_lookup(self, send_req: SendRequest) -> tuple[int, int]:
         """Source and destination ranks of a matched send."""
@@ -304,7 +306,7 @@ class Fabric:
                 acc = the_op(acc, v)
             delay = self.config.allreduce_time(self.num_ranks)
             for _, _, _, r in entries:
-                r.event.succeed(acc, delay=delay)
+                r.succeed(acc, delay=delay)
             del self._collectives[key]
         return req
 
@@ -320,6 +322,6 @@ class Fabric:
             self._finished_collectives.add(key)
             delay = self.config.allreduce_time(self.num_ranks, nbytes=0)
             for r in entries:
-                r.event.succeed(None, delay=delay)
+                r.succeed(None, delay=delay)
             del self._collectives[key]
         return req

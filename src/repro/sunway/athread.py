@@ -111,7 +111,6 @@ class OffloadHandle:
         """Non-blocking completion check — the MPE's flag poll."""
         return self.event.triggered
 
-
 class AthreadRuntime:
     """Offload engine of one core-group.
 
@@ -146,7 +145,9 @@ class AthreadRuntime:
             raise ValueError(
                 f"num_groups must divide {self.config.num_cpes} CPEs, got {num_groups}"
             )
-        self.launch_latency = launch_latency
+        #: A float, so a kernel flight's duration is one too (the CPE
+        #: process sleeps by yielding it).
+        self.launch_latency = float(launch_latency)
         self.num_groups = num_groups
         self._busy: dict[int, OffloadHandle | None] = {g: None for g in range(num_groups)}
         self._spawn_count = 0
@@ -199,7 +200,7 @@ class AthreadRuntime:
             name=name or f"kernel{self._spawn_count}",
             group=group,
             flag=flag,
-            event=self.sim.event(name=f"offload:{name or self._spawn_count}"),
+            event=Event(self.sim),
             duration=self.launch_latency + duration,
             payload=payload,
         )
@@ -223,13 +224,13 @@ class AthreadRuntime:
             if fault is not None and fault.kind == "dma_error":
                 from repro.sunway.dma import DMAError
 
-                yield sim.timeout(fault.error_frac * handle.duration)
+                yield fault.error_frac * handle.duration
                 if handle.aborted:
                     return
                 handle.error = DMAError(handle.name, fault.error_frac)
                 handle.event.succeed(handle)
                 return
-            yield sim.timeout(handle.duration)
+            yield handle.duration
             if handle.aborted:
                 # The MPE gave up (watchdog) before we finished; results
                 # are discarded exactly like a killed thread group's.
@@ -239,7 +240,7 @@ class AthreadRuntime:
             flag.faaw(1)
             handle.event.succeed(handle)
 
-        self.sim.process(run(self.sim), name=f"cpe-group{group}:{handle.name}")
+        self.sim.process(run(self.sim))
         return handle
 
     def abort(self, group: int = 0) -> OffloadHandle | None:

@@ -144,11 +144,19 @@ class CoreRates:
         """
         if not per_cpe_tiles:
             return 0.0
+        # one tile_time per distinct TileWork object (a tile plan shares
+        # one per tile shape); the per-CPE sums keep their order
+        times: dict[int, float] = {}
         worst = 0.0
         for tiles in per_cpe_tiles:
             t = 0.0
             for work in tiles:
-                t += self.tile_time(work, cost, dma, simd, fast_exp, async_dma)
+                tw = times.get(id(work))
+                if tw is None:
+                    tw = times[id(work)] = self.tile_time(
+                        work, cost, dma, simd, fast_exp, async_dma
+                    )
+                t += tw
             worst = max(worst, t)
         return worst
 

@@ -1,0 +1,111 @@
+"""The O(1) ``MPI_Test``: ``CommEngine.harvest_recvs`` rescans its posted
+receives only when the fabric's per-rank completion count moved, and must
+never lose or duplicate a harvest compared with a full rescan."""
+
+import types
+
+from repro.burgers import BurgersProblem
+from repro.core.controller import SimulationController
+from repro.core.grid import Grid
+from repro.core.schedulers.commengine import CommEngine
+from repro.des import Simulator
+from repro.harness import calibration
+from repro.simmpi import Comm, Fabric
+
+
+class _NoScan(list):
+    """A receive list that fails the test if anyone iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("recv_watch was rescanned")
+
+
+def _engine(rank=0, num_ranks=2):
+    sim = Simulator()
+    fabric = Fabric(sim, num_ranks)
+    comms = [Comm(fabric, r) for r in range(num_ranks)]
+    plan = types.SimpleNamespace(scrub_counts={}, bootstrap_scrub_counts={})
+    sched = types.SimpleNamespace(rank=rank, comm=comms[rank], plan=plan)
+    return CommEngine(sched, types.SimpleNamespace(bootstrap=False)), comms
+
+
+def _idle_test_skips_the_scan(comm) -> bool:
+    watch = comm.recv_watch
+    comm.recv_watch = _NoScan(watch)
+    try:
+        return comm.harvest_recvs() is None
+    finally:
+        comm.recv_watch = watch
+
+
+def _harvest_names(comm):
+    got = comm.harvest_recvs()
+    return None if got is None else [spec for spec, _cost, _payload in got]
+
+
+def test_harvest_neither_loses_nor_duplicates():
+    comm, (c0, c1) = _engine()
+    c1.isend(dest=0, tag=1, nbytes=8, payload="a")
+    ra = c0.irecv(source=1, tag=1)  # matched at post, before any scan
+    rb = c0.irecv(source=0, tag=2)  # a self-message, sent later
+    rc = c0.irecv(source=1, tag=3)
+    comm.recv_watch = [("a", 0.5, ra), ("b", 0.5, rb), ("c", 0.5, rc)]
+
+    assert comm.harvest_recvs() == [("a", 0.5, "a")]
+    assert _idle_test_skips_the_scan(comm)
+
+    c0.isend(dest=0, tag=2, nbytes=8, payload="b")
+    assert _harvest_names(comm) == ["b"]
+
+    # a completion for another rank moves only that rank's count
+    c0.isend(dest=1, tag=9, nbytes=8)
+    c1.irecv(source=0, tag=9)
+    assert _idle_test_skips_the_scan(comm)
+
+    c1.isend(dest=0, tag=3, nbytes=8, payload="c")
+    assert _harvest_names(comm) == ["c"]
+    assert comm.recv_watch == []
+    assert comm.harvest_recvs() is None
+
+
+def test_harvest_matches_a_full_rescan_in_a_model_run(monkeypatch):
+    """Every MPI test of a 4-rank run returns exactly what rescanning
+    every posted receive would, and every receive is harvested once."""
+    original = CommEngine.harvest_recvs
+    calls = {"tests": 0, "harvested": 0, "posted": 0}
+
+    def checked(self):
+        expected = [(s, c, r.value) for s, c, r in self.recv_watch if r.complete]
+        pending = [(s, c, r) for s, c, r in self.recv_watch if not r.complete]
+        got = original(self)
+        assert (got or []) == expected
+        if expected:
+            assert self.recv_watch == pending
+        calls["tests"] += 1
+        calls["harvested"] += len(expected)
+        return got
+
+    original_post = CommEngine.post_recvs
+
+    def counting_post(self):
+        yield from original_post(self)
+        calls["posted"] += len(self.recv_watch)
+
+    monkeypatch.setattr(CommEngine, "harvest_recvs", checked)
+    monkeypatch.setattr(CommEngine, "post_recvs", counting_post)
+    grid = Grid(extent=(32, 32, 64), layout=(2, 2, 4))
+    prob = BurgersProblem(grid, fast_exp=True)
+    ctl = SimulationController(
+        grid,
+        prob.tasks(),
+        prob.init_tasks(),
+        num_ranks=4,
+        mode="async",
+        real=False,
+        fabric_config=calibration.FABRIC,
+        scheduler_kwargs=calibration.scheduler_kwargs(),
+    )
+    res = ctl.run(nsteps=3, dt=prob.stable_dt())
+    assert calls["posted"] > 0
+    assert calls["harvested"] == calls["posted"] == res.stats.messages_received
+    assert calls["tests"] > calls["harvested"]

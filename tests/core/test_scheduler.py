@@ -179,45 +179,130 @@ def test_reduction_identical_across_rank_counts():
 # -- readiness tracking -----------------------------------------------------------------
 
 class _StubGraph:
-    """Graph facade with only what ReadinessTracker reads."""
+    """Graph facade with only internal edges: no messages, no copies."""
 
-    def __init__(self, deps):
+    def __init__(self, tasks, deps):
+        self.tasks = tasks
         self.internal_deps = deps
+
+    def local_tasks(self, rank):
+        return self.tasks
+
+    def dependents_of(self, dt):
+        return [o for o in self.tasks if dt.dt_id in self.internal_deps[o.dt_id]]
 
     def recvs_for(self, dt):
         return ()
 
-    def copies_for(self, dt):
+    copies_for = sends_after = copies_after = recvs_for
+
+    def recvs_on(self, rank):
         return ()
+
+    startup_sends = bootstrap_sends = startup_copies = recvs_on
 
 
 class _StubTask:
-    def __init__(self, dt_id):
-        self.dt_id = dt_id
+    """A detailed task as the tracker sees it; counts ``dt_id`` reads."""
+
+    reads = 0
+
+    def __init__(self, dt_id, kind=TaskKind.CPE_KERNEL):
+        self._id = dt_id
+        self.task = Task(f"t{dt_id}", kind=kind, kernel_cost=KernelCost(1, 0),
+                         reduction_op=max)
+        self.patch = None
+
+    @property
+    def dt_id(self):
+        _StubTask.reads += 1
+        return self._id
 
 
-def _tracker(num_tasks, deps=None, **kw):
-    from repro.core.schedulers.base import ReadinessTracker
+def _tracker(num_tasks, deps=None, kinds=None, **kw):
+    from repro.core.schedulers.base import RankPlan, ReadinessTracker
 
-    tasks = [_StubTask(i) for i in range(num_tasks)]
+    kinds = kinds or [TaskKind.CPE_KERNEL] * num_tasks
+    tasks = [_StubTask(i, kinds[i]) for i in range(num_tasks)]
     deps = deps if deps is not None else {i: set() for i in range(num_tasks)}
-    return ReadinessTracker(tasks, _StubGraph(deps), **kw), tasks
+    plan = RankPlan(_StubGraph(tasks, deps), 0, SunwayCostModel(), scrub=False)
+    return ReadinessTracker(plan, **kw), tasks
 
 
-def test_pop_ready_key_selects_highest_score():
-    tracker, _ = _tracker(4)
-    scores = {0: 1.0, 1: 5.0, 2: 5.0, 3: 2.0}
-    # highest score wins; the 1-vs-2 tie keeps queue order (task 1 first)
-    picked = tracker.pop_ready(lambda d: True, key=lambda d: scores[d.dt_id])
-    assert picked.dt_id == 1
-    picked = tracker.pop_ready(lambda d: True, key=lambda d: scores[d.dt_id])
-    assert picked.dt_id == 2
-    # without a key: plain FIFO over the remaining tasks
-    assert tracker.pop_ready(lambda d: True).dt_id == 0
-    # predicate filters regardless of key
-    assert tracker.pop_ready(lambda d: d.dt_id == 99, key=lambda d: 0) is None
-    assert tracker.pop_ready(lambda d: True).dt_id == 3
-    assert not tracker.any_ready
+K, M, R = TaskKind.CPE_KERNEL, TaskKind.MPE, TaskKind.REDUCTION
+
+
+def test_pop_kind_fifo_within_kind():
+    from repro.core.schedulers.base import KERNEL_SLOT, MPE_SLOT, REDUCTION_SLOT
+
+    tracker, _ = _tracker(6, kinds=[M, K, R, K, M, K])
+    assert [d.dt_id for d in tracker.ready] == [0, 1, 2, 3, 4, 5]
+    assert tracker.pop(KERNEL_SLOT).dt_id == 1
+    assert tracker.pop(MPE_SLOT).dt_id == 0
+    assert tracker.pop(KERNEL_SLOT).dt_id == 3
+    assert tracker.pop(REDUCTION_SLOT).dt_id == 2
+    assert tracker.pop(REDUCTION_SLOT) is None
+    assert [d.dt_id for d in tracker.ready] == [4, 5]
+    assert tracker.counts == [1, 1, 0]
+
+
+def test_pop_kind_retry_requeued_at_front():
+    from repro.core.schedulers.base import KERNEL_SLOT
+
+    tracker, _ = _tracker(3)
+    first = tracker.pop(KERNEL_SLOT)
+    assert first.dt_id == 0
+    tracker.requeue_front(first)  # a failed offload retries ahead of fresh work
+    assert [d.dt_id for d in tracker.ready] == [0, 1, 2]
+    assert tracker.pop(KERNEL_SLOT) is first
+    assert tracker.counts[KERNEL_SLOT] == 2
+
+
+def test_pop_kind_key_selects_highest_score():
+    """The highest score of the kind wins, ties keep queue order, and
+    tasks of other kinds are never scored."""
+    from repro.core.schedulers.base import KERNEL_SLOT, MPE_SLOT
+
+    tracker, _ = _tracker(5, kinds=[K, M, K, K, K])
+    scores = {0: 1.0, 1: 99.0, 2: 5.0, 3: 5.0, 4: 2.0}
+    scored = []
+
+    def key(d):
+        scored.append(d.dt_id)
+        return scores[d.dt_id]
+
+    assert tracker.pop(KERNEL_SLOT, key=key).dt_id == 2  # 2-vs-3 tie: queue order
+    assert 1 not in scored  # the MPE task is not a candidate
+    assert tracker.pop(KERNEL_SLOT, key=key).dt_id == 3
+    # without a key: plain FIFO over the remaining kernels
+    assert tracker.pop(KERNEL_SLOT).dt_id == 0
+    assert tracker.pop(KERNEL_SLOT, key=key).dt_id == 4
+    assert tracker.pop(KERNEL_SLOT, key=key) is None
+    assert tracker.pop(MPE_SLOT).dt_id == 1
+    assert not tracker.ready
+
+
+def test_pop_kind_with_nothing_ready_does_not_scan():
+    from repro.core.schedulers.base import MPE_SLOT, REDUCTION_SLOT
+
+    tracker, _ = _tracker(50)
+    _StubTask.reads = 0
+    for _ in range(10):
+        assert tracker.pop(MPE_SLOT) is None
+        assert tracker.pop(REDUCTION_SLOT, key=lambda d: 0) is None
+    assert _StubTask.reads == 0
+    assert len(tracker.ready) == 50
+
+
+def test_drain_keeps_global_fifo_order():
+    """The unified scheduler dispatches every ready task in readiness
+    order, across kinds."""
+    tracker, _ = _tracker(4, deps={0: set(), 1: {0}, 2: set(), 3: {0}}, kinds=[M, K, R, K])
+    assert [d.dt_id for d in tracker.drain()] == [0, 2]
+    assert tracker.counts == [0, 0, 0] and not tracker.ready
+    tracker.release(3)
+    tracker.release(1)
+    assert [d.dt_id for d in tracker.drain()] == [3, 1]
 
 
 @pytest.mark.parametrize("mode", ["async", "sync", "mpe_only"])

@@ -182,3 +182,43 @@ def test_deterministic_reports(tmp_path):
     r2, f2 = go(tmp_path / "b.uda")
     assert r1 == r2
     assert all(np.array_equal(f1[p], f2[p]) for p in f1)
+
+
+def test_recovery_spans_counted_without_tracing(tmp_path):
+    """The runner leaves tracing off: recovery spans are counted where
+    they are emitted, aborted segment included, and the count equals a
+    traced run's recovery spans."""
+    dt = BurgersProblem(GRID).stable_dt()
+
+    def run(trace: bool):
+        runner = ResilientRunner(
+            BurgersProblem,
+            GRID,
+            nsteps=8,
+            dt=dt,
+            num_ranks=4,
+            config=FaultConfig(
+                seed=3,
+                kernel_slowdown_prob=0.2,
+                kernel_slowdown_factor=2.5,
+                kernel_stuck_prob=0.1,
+                dma_error_prob=0.1,
+                fail_rank=1,
+                fail_at_step=6,
+            ),
+            policy=ResiliencePolicy(checkpoint_every=4, max_offload_retries=0),
+            archive_root=str(tmp_path / f"ck{int(trace)}.uda"),
+            controller_kwargs={"trace_enabled": True} if trace else None,
+        )
+        return runner, runner.run()
+
+    plain_runner, plain = run(trace=False)
+    traced_runner, traced = run(trace=True)
+    assert not plain_runner.last_result.trace.enabled
+    assert plain_runner.last_result.trace.spans == []
+    assert plain.recovery_spans == traced.recovery_spans > 0
+    assert plain.stats.mpe_fallbacks > 0 and plain.stats.stragglers_detected > 0
+    # the last segment's trace holds its share of the counted spans
+    last = traced_runner.last_result.trace.spans
+    assert 0 < sum(s.name.startswith(("recover-", "straggler:")) for s in last)
+    assert sum(s.name.startswith(("recover-", "straggler:")) for s in last) <= traced.recovery_spans

@@ -146,6 +146,57 @@ def test_request_value_before_completion_is_error():
         _ = r.value
 
 
+def test_request_is_its_own_event():
+    sim, fabric, (c0, c1) = make_world(2)
+    r = c1.irecv(source=0, tag=3)
+    assert r.event is r and r.sim is sim
+    c0.isend(dest=1, tag=3, nbytes=8, payload="x")
+
+    def waiter():
+        return (yield r)
+
+    p = sim.process(waiter())
+    assert sim.run(until=p) == "x"
+
+
+def test_recvs_completed_counts_scheduled_receives_per_rank():
+    """The counter ``MPI_Test`` polls moves where a receive is triggered:
+    at a match, through a self-message (either order), never for another
+    rank, and not for sends."""
+    sim, fabric, (c0, c1) = make_world(2)
+    c1.isend(dest=0, tag=1, nbytes=8)
+    c0.irecv(source=1, tag=1)  # matched at post time
+    assert fabric.recvs_completed == [1, 0]
+    c0.irecv(source=0, tag=2)
+    c0.isend(dest=0, tag=2, nbytes=8)  # self-message, receive posted first
+    c0.isend(dest=0, tag=3, nbytes=8)
+    c0.irecv(source=0, tag=3)  # self-message, send posted first
+    assert fabric.recvs_completed == [3, 0]
+    c1.irecv(source=0, tag=4)
+    assert fabric.recvs_completed == [3, 0]  # still pending
+    c0.isend(dest=1, tag=4, nbytes=1 << 20)
+    assert fabric.recvs_completed == [3, 1]
+    sim.run()
+    assert fabric.recvs_completed == [3, 1]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known model defect: Request.complete turns true when the fabric "
+    "schedules the completion, before the data arrives (ROADMAP open item)",
+)
+def test_recv_not_complete_before_data_arrives():
+    """Intended behaviour: ``MPI_Test`` on a receive is false until the
+    payload has arrived in simulated time."""
+    sim, fabric, (c0, c1) = make_world(2)
+    nbytes = 1 << 20
+    c0.isend(dest=1, tag=0, nbytes=nbytes, payload="slab")
+    r = c1.irecv(source=0, tag=0)
+    arrival = fabric.config.transfer_time(nbytes)  # 72.5 us on the default fabric
+    assert sim.now < arrival
+    assert not r.complete
+
+
 # -- collectives ------------------------------------------------------------------
 
 def test_allreduce_sums_across_ranks():
