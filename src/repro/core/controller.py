@@ -24,12 +24,12 @@ from repro.core.costs import SunwayCostModel
 from repro.core.datawarehouse import DataWarehouse
 from repro.core.grid import Grid
 from repro.core.loadbalancer import LoadBalancer
-from repro.core.schedulers.base import SchedulerStats
+from repro.core.schedulers.base import DeadlockError, SchedulerStats
 from repro.core.schedulers.scheduler import SunwayScheduler
 from repro.core.task import Task
 from repro.core.taskgraph import TaskGraph
 from repro.core.trace import Tracer
-from repro.des import Simulator
+from repro.des import QueueDrained, Simulator
 from repro.simmpi.comm import Comm
 from repro.simmpi.network import Fabric, FabricConfig
 from repro.sunway.athread import AthreadRuntime
@@ -293,6 +293,22 @@ class SimulationController:
                 self.schedulers[r].stats.mpi_retries += delta
                 self._folded_retries[r] = sent
 
+    def _deadlock(self, procs) -> DeadlockError:
+        """Name the step and task states of every rank that never finished."""
+        stuck = []
+        for r, proc in enumerate(procs):
+            if proc.triggered:
+                continue
+            lc = self.schedulers[r].lifecycle
+            where = f"step {lc.step}"
+            if lc.step is None:
+                lc, where = self.init_schedulers[r].lifecycle, "initialization"
+            states = ", ".join(f"{n} {name}" for name, n in lc.state_counts().items())
+            stuck.append(f"rank {r} {where}: {states}")
+        return DeadlockError(
+            "simulation ran out of events with ranks unfinished: " + "; ".join(stuck)
+        )
+
     def _forward_static(self, old_dw: DataWarehouse, new_dw: DataWarehouse) -> None:
         """Carry never-recomputed fields across the warehouse swap."""
         wanted = set(self._static_labels)
@@ -369,7 +385,10 @@ class SimulationController:
 
         procs = [sim.process(driver(r), name=f"rank{r}") for r in range(R)]
         events_before = sim.events_run
-        sim.run(until=sim.all_of(procs))
+        try:
+            sim.run(until=sim.all_of(procs))
+        except QueueDrained as exc:
+            raise self._deadlock(procs) from exc
 
         t_start = max(start_time)
         t_end = max(end_time)

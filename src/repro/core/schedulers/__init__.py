@@ -2,8 +2,9 @@
 
 One scheduler implementation (:class:`~repro.core.schedulers.scheduler.
 SunwayScheduler`) supports the three operating modes of paper Sec. V-C,
-chosen with its ``mode`` keyword and resolved at construction to an
-executor backend (:mod:`~repro.core.schedulers.backends`):
+chosen with its ``mode`` keyword and resolved at construction to three
+plain fields — ``offloads`` (kernels go to the CPE cluster), ``blocking``
+(the MPE waits for each kernel) and ``num_groups`` (offload slots):
 
 * ``"async"`` — the contribution: offload a kernel to the CPE cluster and
   *return immediately*, overlapping kernel execution with MPI progress,
@@ -17,7 +18,7 @@ executor backend (:mod:`~repro.core.schedulers.backends`):
 The baseline :class:`~repro.core.schedulers.unified.UnifiedHostScheduler`
 (Uintah's Unified Scheduler) shares the same trunk and communication
 engine.  The layered machinery underneath — lifecycle events, the
-communication and offload engines, selection strategies — is documented
+communication and offload engines, selection policies — is documented
 in ``docs/ARCHITECTURE.md``.
 """
 
@@ -30,7 +31,7 @@ from repro.core.schedulers.base import (
 )
 from repro.core.schedulers.lifecycle import TaskLifecycle, TaskState
 from repro.core.schedulers.scheduler import SunwayScheduler
-from repro.core.schedulers.selection import POLICIES, SelectionPolicy, make_policy
+from repro.core.schedulers.selection import POLICIES, select_key
 
 __all__ = [
     "SchedulerStats",
@@ -41,7 +42,6 @@ __all__ = [
     "SunwayScheduler",
     "TaskLifecycle",
     "TaskState",
-    "SelectionPolicy",
     "POLICIES",
-    "make_policy",
+    "select_key",
 ]

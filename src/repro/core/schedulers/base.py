@@ -3,10 +3,10 @@
 :class:`SchedulerCore` is the common trunk of both scheduler families
 (:class:`~repro.core.schedulers.scheduler.SunwayScheduler` and
 :class:`~repro.core.schedulers.unified.UnifiedHostScheduler`): it owns
-the construction-time wiring — cost model, selection policy,
+the construction-time wiring — cost model, selection key,
 fault/resilience hooks, and the task-lifecycle event bus with its
-stats/trace/retry subscribers.  Concrete schedulers add a backend
-and the per-timestep orchestration; see ``docs/ARCHITECTURE.md``.
+stats/trace/retry subscribers.  Concrete schedulers add where kernels
+run and the per-timestep orchestration; see ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ from repro.core.schedulers.lifecycle import (
     TaskState,
     TraceSubscriber,
 )
-from repro.core.schedulers.selection import make_policy
+from repro.core.schedulers.selection import select_key
 from repro.core.task import TaskContext, TaskKind
 from repro.core.trace import Tracer
 
 
 class DeadlockError(RuntimeError):
-    """The scheduler ran out of runnable work with tasks still pending.
+    """The run ran out of runnable work or events with tasks still pending.
 
-    Indicates a task-graph bug (missing producer, wrong assignment) — the
-    runtime refuses to hang silently.
+    A task-graph bug (missing producer, wrong assignment) or a hung kernel
+    nothing recovers — the runtime refuses to hang silently.
     """
 
 
@@ -270,8 +270,8 @@ class StepContext:
     """Everything one timestep's engines share: DWs, tags, readiness.
 
     Built afresh by ``execute_timestep`` and handed to the comm/offload
-    engines and the backend, so no per-step state leaks onto the
-    scheduler object itself.
+    engines, so no per-step state leaks onto the scheduler object
+    itself.
     """
 
     step: int
@@ -280,7 +280,6 @@ class StepContext:
     old_dw: object | None
     new_dw: object
     bootstrap: bool
-    local: list
     tracker: ReadinessTracker
     remaining: set
     tag_base: int
@@ -346,10 +345,9 @@ class SchedulerCore:
         self.policy = resilience
         #: Scrub old-DW variables once their last consumer has read them.
         self.scrub = scrub
-        #: Ready-queue ordering strategy for step 3(b)ii "select a ready
+        #: ``ReadinessTracker.pop`` key for step 3(b)ii "select a ready
         #: offloadable task" — see :mod:`repro.core.schedulers.selection`.
-        self.select = make_policy(select_policy, graph, rank)
-        self.select_policy = select_policy
+        self.select_key = select_key(select_policy, graph, rank)
         #: The task-lifecycle event bus; stats, tracing and the retry
         #: governor observe the run through it (never hand-threaded).
         #: Inert observers are not subscribed at all — a disabled tracer
@@ -392,9 +390,8 @@ class SchedulerCore:
             # raised RankFailure propagates through the driver process
             # and aborts Simulator.run for checkpoint recovery.
             self.faults.on_step_begin(rank, step)
-        local = graph.local_tasks(rank)
         plan = self.plan
-        self.lifecycle.begin_step(local, step=step)
+        self.lifecycle.begin_step(graph.local_tasks(rank), step=step)
         return StepContext(
             step=step,
             time=time,
@@ -402,7 +399,6 @@ class SchedulerCore:
             old_dw=old_dw,
             new_dw=new_dw,
             bootstrap=bootstrap,
-            local=local,
             tracker=ReadinessTracker(plan, on_ready=self._mark_ready),
             remaining=set(plan.tasks),
             tag_base=step * graph.num_tags,

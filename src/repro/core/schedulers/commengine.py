@@ -46,8 +46,8 @@ class CommEngine:
         #: (-1 forces the first scan).
         self._recvs_completed = sched.comm.fabric.recvs_completed
         self._recvs_seen = -1
-        #: In-flight allreduces: (request, task, t_start).
-        self.pending_reductions: list[tuple[object, DetailedTask, float]] = []
+        #: In-flight allreduces: (request, task).
+        self.pending_reductions: list[tuple[object, DetailedTask]] = []
         #: This step's outgoing sends (drained at step end).
         self.send_reqs: list = []
         #: Old-DW variables die after their last consumer reads them
@@ -211,7 +211,7 @@ class CommEngine:
             "reduce-local", sched.costs.reduction_local_time(len(sched._local_patches)), dt
         )
         req = sched.comm.iallreduce(partial, op=dt.task.reduction_op)
-        self.pending_reductions.append((req, dt, sched.sim.now))
+        self.pending_reductions.append((req, dt))
 
     def finish_reductions(self) -> _t.Generator:
         """Finalize reduction tasks whose allreduce completed."""
@@ -219,8 +219,8 @@ class CommEngine:
         done_reds = [t for t in self.pending_reductions if t[0].complete]
         if not done_reds:
             return False
-        for req, dt, _t0 in done_reds:
-            self.pending_reductions.remove((req, dt, _t0))
+        for req, dt in done_reds:
+            self.pending_reductions.remove((req, dt))
             label = dt.task.computes[0]
             st.new_dw.put_reduction(label, req.value)
             yield sched._mpe("reduce-finish", sched.costs.sched.mpi_test, dt)
@@ -232,7 +232,7 @@ class CommEngine:
     def wait_events(self) -> list:
         """Events an idle MPE can block on: receives and allreduces."""
         events = [req for _s, _c, req in self.recv_watch if not req.complete]
-        events.extend(req for req, _d, _t0 in self.pending_reductions)
+        events.extend(req for req, _d in self.pending_reductions)
         return events
 
     def drain_sends(self) -> _t.Generator:

@@ -103,12 +103,6 @@ class LifecycleEvent:
         return f"<LifecycleEvent {what} {who} t={self.t:.6g}>"
 
 
-class _ZeroClock:
-    """Stand-in clock for lifecycles detached from a simulator."""
-
-    now = 0.0
-
-
 class TaskLifecycle:
     """Per-scheduler state machine; reset at every timestep boundary.
 
@@ -121,11 +115,13 @@ class TaskLifecycle:
     every event fires tens of thousands of times per run.
     """
 
-    def __init__(self, stats: StatsSubscriber, clock=None):
+    def __init__(self, stats: StatsSubscriber, clock):
         self._stats = stats
-        self._clock = clock if clock is not None else _ZeroClock
+        self._clock = clock
         self._subs: list[_t.Callable[[LifecycleEvent], None]] = []
         self._state: dict[int, TaskState] = {}
+        #: The timestep :meth:`begin_step` last announced (``None`` before).
+        self.step: int | None = None
 
     def subscribe(self, fn: _t.Callable[[LifecycleEvent], None]) -> None:
         """Register an observer called synchronously on every event."""
@@ -140,11 +136,17 @@ class TaskLifecycle:
         """
         tasks = list(tasks)
         self._state = {dt.dt_id: TaskState.PENDING for dt in tasks}
+        self.step = step
         ev = LifecycleEvent(
             "step-begin", None, None, self._clock.now, {"tasks": tasks, "step": step}
         )
         for fn in self._subs:
             fn(ev)
+
+    def state_counts(self) -> dict[str, int]:
+        """How many of this step's tasks are in each state (non-zero only)."""
+        states = list(self._state.values())
+        return {s.value: states.count(s) for s in TaskState if s in states}
 
     def transition(self, dt, state: TaskState, **info) -> None:
         """Move ``dt`` to ``state``, validating legality, and announce."""

@@ -82,7 +82,6 @@ class OffloadEngine:
         #: Tasks whose useful flops were already counted (retries and
         #: fallbacks must not double-count).
         self.flops_counted: set[int] = set()
-        self.num_groups = sched.backend.num_groups(sched.athread)
         self.interference = sched.interference_model
 
     def count_flops(self, dt: DetailedTask) -> None:
@@ -95,7 +94,7 @@ class OffloadEngine:
             )
 
     # ------------------------------------------------------------ launch
-    def launch(self, nxt: DetailedTask, group: int) -> Flight:
+    def launch(self, nxt: DetailedTask, group: int) -> None:
         """Clear the flag and offload ``nxt`` onto CPE ``group`` (3b iv)."""
         sched = self.sched
         sim = sched.sim
@@ -105,7 +104,6 @@ class OffloadEngine:
         expected = sched.athread.launch_latency + duration
         handle = sched.athread.spawn(
             duration=duration,
-            payload=nxt,
             on_complete=sched.kernel_action(self.st, nxt),
             name=nxt.name,
             flag=self.flag,
@@ -116,8 +114,7 @@ class OffloadEngine:
             if sched._watchdog
             else float("inf")
         )
-        fl = Flight(handle, nxt, expected, deadline, t_launch, duration)
-        self.inflight[group] = fl
+        self.inflight[group] = Flight(handle, nxt, expected, deadline, t_launch, duration)
         self.interference.kernel_inflight = True
         volume = sched.costs.kernel_dma_volume(nxt.task, nxt.patch)
         reg = sched.telemetry
@@ -135,7 +132,6 @@ class OffloadEngine:
             span=("cpe", nxt.name, t_launch, t_launch + handle.duration),
         )
         self.count_flops(nxt)
-        return fl
 
     # ------------------------------------------------------------ retire
     def any_done(self) -> bool:
@@ -261,8 +257,9 @@ class OffloadEngine:
                 )
             else:
                 yield fl.handle.event
-            if fl.handle.done and fl.handle.error is None:
-                break  # completed cleanly
+            clean = fl.handle.done and fl.handle.error is None
+            if clean:
+                break
             if not fl.handle.done:
                 # flag never came: watchdog fired
                 sched.athread.abort(group)
@@ -271,41 +268,36 @@ class OffloadEngine:
                 raise fl.handle.error
             else:
                 sched.lifecycle.transition(nxt, TaskState.FAILED, cause="error")
-            if sched.retry_governor.should_retry(nxt):
-                h2 = sched.athread.spawn(
-                    duration=fl.duration,
-                    payload=nxt,
-                    on_complete=sched.kernel_action(self.st, nxt),
-                    name=nxt.name,
-                    flag=self.flag,
-                    group=group,
-                )
-                sched.lifecycle.transition(nxt, TaskState.RUNNING, backend="cpe", retry=True)
-                fl = Flight(
-                    h2,
-                    nxt,
-                    fl.expected,
-                    (
-                        sim.now + sched.policy.kernel_timeout(fl.expected)
-                        if sched._watchdog
-                        else float("inf")
-                    ),
-                    sim.now,
-                    fl.duration,
-                )
-                continue
-            # retries exhausted: execute on the MPE instead
-            self.interference.clear()
-            sched.lifecycle.emit(
-                "spin", nxt, seconds=sim.now - t0, span=("spin", nxt.name, t0, sim.now)
+            if not sched.retry_governor.should_retry(nxt):
+                break  # retries exhausted: execute on the MPE instead
+            h2 = sched.athread.spawn(
+                duration=fl.duration,
+                on_complete=sched.kernel_action(self.st, nxt),
+                name=nxt.name,
+                flag=self.flag,
+                group=group,
             )
-            yield from self.mpe_fallback(nxt)
-            return
+            sched.lifecycle.transition(nxt, TaskState.RUNNING, backend="cpe", retry=True)
+            fl = Flight(
+                h2,
+                nxt,
+                fl.expected,
+                (
+                    sim.now + sched.policy.kernel_timeout(fl.expected)
+                    if sched._watchdog
+                    else float("inf")
+                ),
+                sim.now,
+                fl.duration,
+            )
         self.interference.clear()
         sched.lifecycle.emit(
             "spin", nxt, seconds=sim.now - t0, span=("spin", nxt.name, t0, sim.now)
         )
-        sched.finish_task(self.st, self.comm, nxt)
+        if clean:
+            sched.finish_task(self.st, self.comm, nxt)
+        else:
+            yield from self.mpe_fallback(nxt)
 
     # ------------------------------------------------------------ prefetch
     def prefetch_candidate(self) -> DetailedTask | None:

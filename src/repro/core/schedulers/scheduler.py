@@ -3,8 +3,8 @@
 One rank's scheduler drives one timestep of the compiled task graph as a
 DES process, implementing the MPE task scheduler of Sec. V-C: post
 receives (3a), send locally-owned old-DW ghost slabs, then loop retiring
-completed kernels, dispatching ready work onto the execution backend and
-interleaving MPI tests, ghost copies, unpacks and reductions (3b-3d).
+completed kernels, dispatching ready kernels onto the CPE cluster or the
+MPE and interleaving MPI tests, ghost copies, unpacks and reductions (3b-3d).
 
 This module is only the *orchestrator*; the machinery lives in layered
 engines (see ``docs/ARCHITECTURE.md`` for the full picture):
@@ -17,20 +17,20 @@ engines (see ``docs/ARCHITECTURE.md`` for the full picture):
   watchdog/retry/MPE-fallback recovery ladder, and the
   memory-interference debt model of Sec. VII-C;
 * :mod:`~repro.core.schedulers.selection` — ready-queue ordering
-  strategies (``fifo`` / ``max_dependents`` / ``most_messages`` /
-  ``critical_path``);
-* :mod:`~repro.core.schedulers.backends` — where kernels execute.
+  policies (``fifo`` / ``max_dependents`` / ``most_messages`` /
+  ``critical_path``).
 
-The paper's modes (Sec. V-C last paragraph) map one-to-one onto
-backends, resolved once at construction — the only place a mode string
-is interpreted:
+The paper's modes (Sec. V-C last paragraph) differ in where a kernel
+runs and whether the MPE waits for it.  The constructor — the only place
+a mode string is interpreted — resolves them to the fields ``offloads``,
+``blocking`` and ``num_groups`` that :meth:`SunwayScheduler.
+_dispatch_kernels` reads:
 
-* ``async``  — non-blocking :class:`CPEBackend`; MPE work overlaps the
-  kernel and is charged interference debt on retirement.
-* ``sync``   — blocking :class:`CPEBackend`; the MPE spins on the
-  completion flag, nothing overlaps, debt is structurally zero.
-* ``mpe_only`` — :class:`MPEBackend`; kernels run on the management
-  core.
+* ``async``  — offloads without blocking, one slot per CPE group; MPE
+  work overlaps the kernel and is charged interference debt on retirement.
+* ``sync``   — offloads and blocks: the MPE spins on the completion flag
+  of its one slot; nothing overlaps, debt is structurally zero.
+* ``mpe_only`` — blocks without offloading: the MPE runs the kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.core.datawarehouse import DataWarehouse
-from repro.core.schedulers.backends import CPEBackend, MPEBackend
 from repro.core.schedulers.base import (
     KERNEL_SLOT,
     MPE_SLOT,
@@ -55,21 +54,22 @@ from repro.des.event import Timeout
 
 MODES = ("async", "sync", "mpe_only")
 
-_BACKENDS = {
-    "async": lambda: CPEBackend(blocking=False),
-    "sync": lambda: CPEBackend(blocking=True),
-    "mpe_only": MPEBackend,
-}
-
 
 class SunwayScheduler(SchedulerCore):
     """Executes one rank's share of a task graph, timestep by timestep."""
 
     def __init__(self, *args, **kwargs):
-        mode = kwargs.get("mode", args[6] if len(args) > 6 else "async")
+        super().__init__(*args, **kwargs)
+        mode = self.mode
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        super().__init__(*args, **kwargs)
+        #: Where kernels run (CPE cluster or MPE), whether the MPE waits for
+        #: each one, and how many offload slots it fills: one per CPE group
+        #: (the Sec. IX grouping extension; the paper uses one) unless it
+        #: waits.
+        self.offloads = mode != "mpe_only"
+        self.blocking = mode != "async"
+        self.num_groups = self.athread.num_groups if mode == "async" else 1
         #: The watchdog only arms when a kernel can actually hang —
         #: timeout events per wait iteration are not free.
         self._watchdog = (
@@ -78,8 +78,6 @@ class SunwayScheduler(SchedulerCore):
         #: Shared-memory-controller interference debt (persists across
         #: steps; structurally idle outside async mode).
         self.interference_model = InterferenceModel(self.interference)
-        #: Kernel execution strategy — the only mode-string resolution.
-        self.backend = _BACKENDS[mode]()
 
     # ------------------------------------------------------------------ helpers
     def _mpe(self, label: str, cost: float, dt: DetailedTask | None = None) -> float | Timeout:
@@ -145,6 +143,43 @@ class SunwayScheduler(SchedulerCore):
         yield self._mpe("mpe-task", self.costs.mpe_task_time(nxt.task, nxt.patch), nxt)
         self.finish_task(st, comm, nxt)
 
+    def _dispatch_kernels(self, st, comm, offload) -> _t.Generator:
+        """Select and prepare ready kernels for free slots (steps 3b i-iv),
+        then offload each (``sync`` spins until it completes) or, in
+        ``mpe_only`` mode, run and retire it on the MPE."""
+        progressed = False
+        inflight = offload.inflight
+        for g in range(self.num_groups):
+            if g in inflight:
+                continue
+            nxt = st.tracker.pop(KERNEL_SLOT, key=self.select_key)
+            if nxt is None:
+                break
+            self.lifecycle.transition(
+                nxt, TaskState.DISPATCHED, backend="cpe" if self.offloads else "mpe"
+            )
+            yield self._mpe("task-select", self.costs.sched.task_select)
+            if nxt.dt_id not in st.prepared:
+                part = self.run_mpe_part(st, nxt)
+                if part is not None:
+                    yield part
+            progressed = True
+            if not self.offloads:
+                self.lifecycle.transition(nxt, TaskState.RUNNING, backend="mpe")
+                action = self.kernel_action(st, nxt)
+                if action is not None:
+                    action()
+                yield self._mpe("mpe-kernel", self.costs.mpe_kernel_time(nxt.task, nxt.patch), nxt)
+                # mpe_only counts flops per execution (no offload retry dedup)
+                self.lifecycle.emit("flops", nxt, n=self.costs.kernel_flops(nxt.task, nxt.patch))
+                self.finish_task(st, comm, nxt)
+                break
+            offload.launch(nxt, g)
+            if self.blocking:
+                yield from offload.spin_to_completion(g)
+                break
+        return progressed
+
     def _idle_wait(self, st, comm, offload) -> _t.Generator:
         """Nothing runnable: block on the next interesting event."""
         events = offload.wait_events()
@@ -183,7 +218,6 @@ class SunwayScheduler(SchedulerCore):
         st = self._begin_step(step, time, dt_value, old_dw, new_dw, bootstrap)
         comm = CommEngine(self, st)
         offload = OffloadEngine(self, st, comm)
-        backend = self.backend
 
         yield from comm.post_recvs()
         comm.queue_startup()
@@ -199,6 +233,8 @@ class SunwayScheduler(SchedulerCore):
         ready, counts = tracker.ready, tracker.counts
         work = comm.work
         reg = self.telemetry
+        num_groups = self.num_groups
+        overlaps = not self.blocking
         while st.remaining or work:
             progressed = False
             if reg is not None:
@@ -223,9 +259,9 @@ class SunwayScheduler(SchedulerCore):
                 # never came (hung CPE); armed only when kernels can hang
                 if self._watchdog and (yield from offload.watchdog()):
                     progressed = True
-            # dispatch ready kernels onto the execution backend
-            if counts[KERNEL_SLOT] and len(offload.inflight) < offload.num_groups:
-                if (yield from backend.run_kernels(self, st, comm, offload)):
+            # (3b) dispatch ready kernels onto free offload slots
+            if counts[KERNEL_SLOT] and len(offload.inflight) < num_groups:
+                if (yield from self._dispatch_kernels(st, comm, offload)):
                     progressed = True
 
             # (3d) other MPE tasks: small kernels and reductions
@@ -242,7 +278,7 @@ class SunwayScheduler(SchedulerCore):
                 yield self._mpe(kind, cost)
                 comm.apply(kind, payload)
                 progressed = True
-            elif backend.overlaps and offload.inflight and counts[KERNEL_SLOT]:
+            elif overlaps and offload.inflight and counts[KERNEL_SLOT]:
                 # idle MPE during a kernel: pre-process the MPE part of
                 # the next ready kernel so it launches instantly (step 3d
                 # "small kernels").

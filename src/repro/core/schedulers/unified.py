@@ -10,8 +10,7 @@ the Unified Scheduler is not able to effectively overlap communications
 with computations without a new design."
 
 This module models that scheduler so the claim is measurable: a pool of
-``num_threads`` host worker threads (:class:`~repro.core.schedulers.
-backends.WorkerPool`) executes ready tasks *and* interleaved
+``num_threads`` host worker threads (:class:`WorkerPool`) executes ready tasks *and* interleaved
 communication work (ghost packing/unpacking, sends, local
 copies, reductions) from one shared run queue.  The communication units
 come from the same :class:`~repro.core.schedulers.commengine.CommEngine`
@@ -33,11 +32,67 @@ subclass of it (see ``docs/ARCHITECTURE.md``).  Use it through
 from __future__ import annotations
 
 from repro.core.datawarehouse import DataWarehouse
-from repro.core.schedulers.backends import WorkerPool
 from repro.core.schedulers.base import DeadlockError, SchedulerCore
 from repro.core.schedulers.commengine import CommEngine
 from repro.core.schedulers.lifecycle import TaskState
 from repro.core.task import DetailedTask, TaskKind
+from repro.des.resources import Store
+
+
+class WorkerPool:
+    """One timestep's run queue, worker processes, and completion event."""
+
+    def __init__(self, sim, rank: int, num_threads: int):
+        self.sim = sim
+        self.rank = rank
+        self.num_threads = num_threads
+        self.runq: Store = Store(sim, name=f"unified-runq-r{rank}")
+        self.outstanding = 0
+        self.done_event = sim.event(name=f"unified-step-done-r{rank}")
+        self.failure: list[BaseException] = []
+        self.workers: list = []
+
+    def push(self, unit) -> None:
+        self.outstanding += 1
+        self.runq.put(unit)
+
+    def maybe_finish(self, drained: bool) -> None:
+        """Trigger step completion once nothing remains anywhere."""
+        if drained and self.outstanding == 0 and not self.done_event.triggered:
+            self.done_event.succeed()
+
+    def spawn_workers(self, handle_unit, is_drained) -> None:
+        """Start the worker processes; each drains units until sentinel.
+
+        ``handle_unit(tid, unit)`` is the scheduler-provided generator
+        executing one unit; ``is_drained()`` reports whether all tasks
+        retired (completion is declared when it holds with zero
+        outstanding units).
+        """
+
+        def worker(tid: int):
+            while True:
+                unit = yield self.runq.get()
+                if unit is None:  # shutdown sentinel
+                    return
+                try:
+                    yield from handle_unit(tid, unit)
+                except BaseException as exc:  # surface through the coordinator
+                    self.failure.append(exc)
+                    if not self.done_event.triggered:
+                        self.done_event.succeed()
+                    return
+                self.outstanding -= 1
+                self.maybe_finish(is_drained())
+
+        self.workers = [
+            self.sim.process(worker(t), name=f"unified-w{t}-r{self.rank}")
+            for t in range(self.num_threads)
+        ]
+
+    def shutdown(self) -> None:
+        for _ in self.workers:
+            self.runq.put(None)
 
 
 class UnifiedHostScheduler(SchedulerCore):

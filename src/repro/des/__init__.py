@@ -22,7 +22,7 @@ monotone sequence number, never by object identity).
 
 from repro.des.event import Event, Timeout, all_of, any_of
 from repro.des.process import Process
-from repro.des.simulator import Simulator
+from repro.des.simulator import QueueDrained, Simulator
 from repro.des.resources import Store
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "all_of",
     "any_of",
     "Process",
+    "QueueDrained",
     "Simulator",
     "Store",
 ]

@@ -17,6 +17,12 @@ class EmptySchedule(Exception):
     """Raised by :meth:`Simulator.step` when no events remain."""
 
 
+class QueueDrained(RuntimeError):
+    """Raised by :meth:`Simulator.run` when no events remain but its
+    target event has not fired: every process waits on something that
+    can no longer happen (a deadlock)."""
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -104,7 +110,8 @@ class Simulator:
             a ``float`` — run until the clock would pass that time
             (the clock is then set to exactly that time);
             an :class:`Event` — run until that event has been processed,
-            returning its value (or raising its exception).
+            returning its value (or raising its exception); raises
+            :class:`QueueDrained` if the queue empties first.
         max_events:
             Optional runaway guard: abort with ``RuntimeError`` once this
             many events were processed and more remain (catches processes
@@ -130,7 +137,7 @@ class Simulator:
                 target = until
                 while not target._processed:
                     if not queue:
-                        raise RuntimeError(
+                        raise QueueDrained(
                             f"simulation ran out of events before {target!r} fired (deadlock?)"
                         )
                     if count >= limit:

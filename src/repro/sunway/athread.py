@@ -87,7 +87,6 @@ class OffloadHandle:
     """A kernel in flight on (a group of) the CPE cluster."""
 
     name: str
-    group: int
     flag: CompletionFlag
     #: Fires when the kernel finishes (flag has been bumped) — or, under
     #: fault injection, when it dies with :attr:`error` set.
@@ -95,16 +94,12 @@ class OffloadHandle:
     #: Simulated seconds the cluster will spend (launch + execution,
     #: including any injected slowdown).
     duration: float
-    #: Arbitrary scheduler payload (e.g. the detailed task).
-    payload: object = None
     #: Set when the kernel died instead of completing (e.g.
     #: :class:`~repro.sunway.dma.DMAError`); data effects were NOT applied.
     error: BaseException | None = None
     #: Set by :meth:`AthreadRuntime.abort`: the MPE gave up on this
     #: kernel; any still-pending completion is discarded.
     aborted: bool = False
-    #: The fault the injector dealt this kernel, if any (diagnostics).
-    fault: object = None
 
     @property
     def done(self) -> bool:
@@ -166,7 +161,6 @@ class AthreadRuntime:
     def spawn(
         self,
         duration: float,
-        payload: object = None,
         on_complete: _t.Callable[[], None] | None = None,
         group: int = 0,
         name: str | None = None,
@@ -198,11 +192,9 @@ class AthreadRuntime:
         flag = flag if flag is not None else CompletionFlag(self.sim)
         handle = OffloadHandle(
             name=name or f"kernel{self._spawn_count}",
-            group=group,
             flag=flag,
             event=Event(self.sim),
             duration=self.launch_latency + duration,
-            payload=payload,
         )
         fault = None
         # hot-path gate: skip the injector query when no CPE fault can fire
@@ -210,7 +202,6 @@ class AthreadRuntime:
             fault = self.faults.kernel_fault(
                 self.rank, handle.name, handle.duration, self.sim.now
             )
-            handle.fault = fault
             if fault is not None and fault.kind == "slowdown":
                 handle.duration *= fault.factor
         self._busy[group] = handle

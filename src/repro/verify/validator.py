@@ -187,7 +187,7 @@ class RankValidator:
         self.copy_count: dict[int, int] = {}
         self.cpe_launches = 0
         self.clean_cpe_retires = 0
-        self.backend_of: dict[int, str] = {}
+        self.ran_on: dict[int, str] = {}
 
     # ------------------------------------------------------------ static
     def _compute_static(self, tasks) -> None:
@@ -285,7 +285,7 @@ class RankValidator:
             self.copy_count = {}
             self.cpe_launches = 0
             self.clean_cpe_retires = 0
-            self.backend_of = {}
+            self.ran_on = {}
             self.owner.note(
                 {"rank": self.rank, "t": ev.t, "kind": "step-begin", "step": self.step}
             )
@@ -326,13 +326,13 @@ class RankValidator:
                 self._check_runnable(dt)
                 backend = ev.info.get("backend")
                 if backend is not None:
-                    self.backend_of[dt.dt_id] = backend
+                    self.ran_on[dt.dt_id] = backend
                 if backend == "cpe":
                     self.cpe_launches += 1
                     self._check_ldm(dt)
             elif state is TaskState.DONE:
                 self.done.add(dt.dt_id)
-                if self.backend_of.get(dt.dt_id) == "cpe":
+                if self.ran_on.get(dt.dt_id) == "cpe":
                     self.clean_cpe_retires += 1
         elif kind == "msg-recv":
             if dt is not None:

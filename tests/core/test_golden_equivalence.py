@@ -1,7 +1,7 @@
 """Golden-equivalence oracle for the scheduler refactor.
 
-The layered execution engine (lifecycle / comm / offload / selection /
-backends) must be *behavior-preserving*: for every scheduler mode, for
+The layered execution engine (lifecycle / comm / offload / selection)
+must be *behavior-preserving*: for every scheduler mode, for
 the unified host scheduler, and for a faulted seed, the physics output,
 the simulated wall time, and every :class:`SchedulerStats` counter must
 be identical to what the pre-refactor monolith produced.
@@ -9,7 +9,10 @@ be identical to what the pre-refactor monolith produced.
 The reference values in ``golden/scheduler_golden.json`` were captured
 from the monolithic scheduler (one commit before the engine split) with::
 
-    PYTHONPATH=src python tests/core/test_golden_equivalence.py --regen
+    PYTHONPATH=src python tests/core/test_golden_equivalence.py --regen [NAME ...]
+
+Naming scenarios rewrites only those entries and leaves the others
+byte-identical; a bare ``--regen`` rewrites them all.
 
 Do NOT regenerate them as part of a scheduler change unless the change
 is *intended* to alter scheduling behavior — the whole point of this
@@ -28,6 +31,7 @@ import pytest
 
 from repro.burgers import BurgersProblem
 from repro.core.controller import SimulationController
+from repro.core.costs import SunwayCostModel
 from repro.core.grid import Grid
 from repro.faults import FaultConfig, FaultInjector, ResiliencePolicy
 
@@ -38,11 +42,17 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "scheduler_golden.json"
 FLOAT_STATS = ("idle_wait", "spin_wait")
 
 
-def _fault_free(mode):
+def _fault_free(mode, cpe_groups=1):
     grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
     prob = BurgersProblem(grid)
     ctl = SimulationController(
-        grid, prob.tasks(), prob.init_tasks(), num_ranks=2, mode=mode, real=True
+        grid,
+        prob.tasks(),
+        prob.init_tasks(),
+        num_ranks=2,
+        mode=mode,
+        cost_model=SunwayCostModel(cpe_groups=cpe_groups),
+        real=True,
     )
     return ctl.run(nsteps=3, dt=prob.stable_dt())
 
@@ -103,6 +113,8 @@ def _faulted(mode):
 
 SCENARIOS = {
     "async": lambda: _fault_free("async"),
+    # several offload slots: kernels overlap one another as well as MPE work
+    "async_groups2": lambda: _fault_free("async", cpe_groups=2),
     "sync": lambda: _fault_free("sync"),
     "mpe_only": lambda: _fault_free("mpe_only"),
     "unified_t4": lambda: _unified(4),
@@ -147,17 +159,23 @@ def test_golden_equivalence(name):
         assert got["stats"][field] == value, (name, field)
 
 
-def _regen() -> None:
+def _regen(names) -> None:
+    """Re-record ``names`` (every scenario when empty), keep the rest."""
+    unknown = sorted(set(names) - set(SCENARIOS))
+    if unknown:
+        raise SystemExit(f"unknown scenario(s) {unknown}; choose from {sorted(SCENARIOS)}")
+    out = json.loads(GOLDEN_PATH.read_text()) if names and GOLDEN_PATH.exists() else {}
+    for name in names or sorted(SCENARIOS):
+        out[name] = fingerprint(SCENARIOS[name]())
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    out = {name: fingerprint(fn()) for name, fn in sorted(SCENARIOS.items())}
     GOLDEN_PATH.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH} ({len(out)} scenarios)")
+    print(f"wrote {GOLDEN_PATH} ({len(names or SCENARIOS)} of {len(out)} scenarios)")
 
 
 if __name__ == "__main__":
     import sys
 
     if "--regen" in sys.argv:
-        _regen()
+        _regen(sys.argv[sys.argv.index("--regen") + 1 :])
     else:
         print(__doc__)

@@ -7,7 +7,7 @@ import networkx as nx
 
 from repro.core.grid import Grid
 from repro.core.loadbalancer import LoadBalancer
-from repro.core.schedulers.selection import make_policy
+from repro.core.schedulers.selection import POLICIES, select_key
 from repro.core.task import Task, TaskKind
 from repro.core.taskgraph import TaskGraph
 from repro.core.varlabel import VarLabel
@@ -35,14 +35,14 @@ def chain_graph(num_ranks=2):
 def test_critical_path_of_chain():
     """The critical-path policy scores each task by the chain it heads."""
     graph, _ = chain_graph(num_ranks=1)
-    policy = make_policy("critical_path", graph, 0)
-    depth = {dt.task.name: policy.key_fn(dt) for dt in graph.detailed_tasks}
+    key = select_key("critical_path", graph, 0)
+    depth = {dt.task.name: key(dt) for dt in graph.detailed_tasks}
     assert depth == {"advance": 3, "smooth": 2, "norm": 1}
 
 
 def test_critical_path_empty_graph():
     graph = TaskGraph(Grid(extent=(4, 4, 4)), [], {0: 0}, 1)
-    assert make_policy("critical_path", graph, 0).scores(graph, 0) == {}
+    assert POLICIES["critical_path"](graph, 0) == {}
 
 
 def test_networkx_agrees_its_a_dag():
@@ -55,8 +55,8 @@ def test_networkx_agrees_its_a_dag():
         g.add_edges_from((p, consumer) for p in producers)
     assert nx.is_directed_acyclic_graph(g)
     assert g.number_of_nodes() == len(graph.detailed_tasks)
-    policies = [make_policy("critical_path", graph, r) for r in range(graph.num_ranks)]
-    deepest = max(policies[dt.rank].key_fn(dt) for dt in graph.detailed_tasks)
+    keys = [select_key("critical_path", graph, r) for r in range(graph.num_ranks)]
+    deepest = max(keys[dt.rank](dt) for dt in graph.detailed_tasks)
     assert deepest == nx.dag_longest_path_length(g) + 1  # edges -> nodes
 
 

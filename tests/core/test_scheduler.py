@@ -17,7 +17,6 @@ from repro.core.controller import SimulationController
 from repro.core.costs import SunwayCostModel
 from repro.core.grid import Grid
 from repro.core.schedulers import SunwayScheduler
-from repro.core.schedulers.backends import CPEBackend, MPEBackend
 from repro.core.schedulers.base import DeadlockError
 from repro.core.task import Task, TaskKind
 from repro.core.taskgraph import TaskGraph
@@ -63,7 +62,7 @@ def test_results_identical_across_modes_and_ranks():
             assert np.array_equal(ref[pid], got[pid]), (num_ranks, mode, pid)
 
 
-def test_mode_keyword_selects_backend():
+def test_mode_keyword_resolves_dispatch_fields():
     grid, prob, res = run_burgers(1, "async", nsteps=1)
     from repro.des import Simulator
     from repro.simmpi import Fabric, Comm
@@ -74,19 +73,24 @@ def test_mode_keyword_selects_backend():
     fabric = Fabric(sim, 1)
     assignment = LoadBalancer().assign(grid, 1)
     graph = TaskGraph(grid, prob.tasks(), assignment, 1)
-    args = (sim, 0, graph, Comm(fabric, 0), AthreadRuntime(sim), SunwayCostModel())
-    for mode, backend, blocking in [
-        ("async", CPEBackend, False),
-        ("sync", CPEBackend, True),
-        ("mpe_only", MPEBackend, None),
+    args = (sim, 0, graph, Comm(fabric, 0), AthreadRuntime(sim, num_groups=2), SunwayCostModel())
+    for mode, offloads, blocking, num_groups in [
+        ("async", True, False, 2),
+        ("sync", True, True, 1),
+        ("mpe_only", False, True, 1),
     ]:
         sched = SunwayScheduler(*args, mode=mode)
         assert sched.mode == mode
-        assert type(sched.backend) is backend
-        assert getattr(sched.backend, "blocking", None) is blocking
+        got = (sched.offloads, sched.blocking, sched.num_groups)
+        assert got == (offloads, blocking, num_groups)
+        # mode is the constructor's seventh positional parameter
+        assert SunwayScheduler(*args, mode).mode == mode
     assert SunwayScheduler(*args).mode == "async"
-    with pytest.raises(ValueError):
-        SunwayScheduler(*args, mode="warp")
+    for bad in ("warp", None):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            SunwayScheduler(*args, mode=bad)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        SunwayScheduler(*args, "warp")
 
 
 # -- overlap mechanics ---------------------------------------------------------------
@@ -360,6 +364,27 @@ def test_deadlock_detected_not_hung():
     ctl.graph.internal_deps[9999] = set()
     with pytest.raises(DeadlockError):
         ctl.run(nsteps=1, dt=1e-4)
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_stuck_kernel_without_policy_names_the_deadlock(mode):
+    """A hung CPE with no resilience policy cannot recover; the run must
+    end in a DeadlockError naming each rank's step and task states, not
+    an anonymous drained-queue error."""
+    from repro.faults import FaultConfig, FaultInjector
+
+    grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
+    prob = BurgersProblem(grid)
+    ctl = SimulationController(
+        grid, prob.tasks(), prob.init_tasks(), num_ranks=2, mode=mode,
+        faults=FaultInjector(FaultConfig(seed=1, kernel_stuck_prob=1.0)),
+    )
+    with pytest.raises(DeadlockError) as info:
+        ctl.run(nsteps=3, dt=prob.stable_dt())
+    msg = str(info.value)
+    assert "rank 0 step 1:" in msg and "rank 1 step 1:" in msg
+    assert "1 running" in msg  # the hung kernel, one per rank
+    assert "pending" in msg
 
 
 def test_kernel_exception_propagates():

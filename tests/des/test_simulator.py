@@ -3,7 +3,7 @@
 import pytest
 
 from repro.des import Simulator
-from repro.des.simulator import EmptySchedule
+from repro.des.simulator import EmptySchedule, QueueDrained
 
 
 def test_clock_starts_at_zero():
@@ -84,6 +84,8 @@ def test_run_until_unreachable_event_raises_deadlock():
     sim = Simulator()
     ev = sim.event()
     with pytest.raises(RuntimeError, match="deadlock"):
+        sim.run(until=ev)
+    with pytest.raises(QueueDrained):
         sim.run(until=ev)
 
 

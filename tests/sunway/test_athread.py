@@ -127,11 +127,9 @@ def test_shared_flag_counts_multiple_kernels():
     assert flag.value == 2
 
 
-def test_payload_carried_on_handle():
+def test_completion_event_carries_handle():
     sim = Simulator()
     rt = AthreadRuntime(sim)
-    marker = object()
-    h = rt.spawn(duration=0.5, payload=marker)
+    h = rt.spawn(duration=0.5)
     sim.run()
-    assert h.payload is marker
     assert h.event.value is h
