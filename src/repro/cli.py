@@ -24,6 +24,33 @@ from repro.harness.runner import run_experiment, run_instrumented
 from repro.harness.variants import VARIANTS, variant_by_name
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int | None:
+    """argparse type of a fault seed: ``none`` (the fault-free case) or an integer."""
+    if text.lower() == "none":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'none' or an integer, got {text!r}") from None
+
+
+def _case(args):
+    """The problem and variant a case command names, with its selection policy."""
+    variant = dataclasses.replace(variant_by_name(args.variant), select_policy=args.select_policy)
+    return problem_by_name(args.problem), variant
+
+
 def _check_outdir(path_str: str | None) -> str | None:
     """Reject an output directory blocked by an existing file.
 
@@ -125,10 +152,7 @@ def _cmd_run(args) -> int:
     if err is not None:
         print(err, file=sys.stderr)
         return 2
-    problem = problem_by_name(args.problem)
-    variant = dataclasses.replace(
-        variant_by_name(args.variant), select_policy=args.select_policy
-    )
+    problem, variant = _case(args)
     bundle = None
     if getattr(args, "telemetry_out", None):
         bundle = run_instrumented(problem, variant, args.cgs, nsteps=args.nsteps)
@@ -163,10 +187,7 @@ def _cmd_sweep(args) -> int:
     if err is not None:
         print(err, file=sys.stderr)
         return 2
-    problem = problem_by_name(args.problem)
-    variant = dataclasses.replace(
-        variant_by_name(args.variant), select_policy=args.select_policy
-    )
+    problem, variant = _case(args)
     base = None
     rows = []
     for cgs in problem.cg_counts():
@@ -206,10 +227,7 @@ def _cmd_profile(args) -> int:
     if err is not None:
         print(err, file=sys.stderr)
         return 2
-    problem = problem_by_name(args.problem)
-    variant = dataclasses.replace(
-        variant_by_name(args.variant), select_policy=args.select_policy
-    )
+    problem, variant = _case(args)
     bundle = run_instrumented(problem, variant, args.cgs, nsteps=args.nsteps)
     r = bundle.experiment
     rows = [
@@ -242,10 +260,7 @@ def _cmd_trace(args) -> int:
     import json
     import pathlib
 
-    problem = problem_by_name(args.problem)
-    variant = dataclasses.replace(
-        variant_by_name(args.variant), select_policy=args.select_policy
-    )
+    problem, variant = _case(args)
     bundle = run_instrumented(problem, variant, args.cgs, nsteps=args.nsteps)
     out = pathlib.Path(args.output)
     out.write_text(
@@ -333,47 +348,34 @@ def _cmd_resilience(args) -> int:
 def _cmd_verify(args) -> int:
     """Differential verification: invariants + bit-identical physics."""
     from repro.verify import (
+        DEFAULT_LAYOUT,
         DEFAULT_MODES,
         DEFAULT_SEEDS,
         ReproBundle,
-        default_policies,
         run_differential,
     )
 
-    if args.quick and args.full:
-        print("choose one of --quick / --full, not both", file=sys.stderr)
-        return 2
     err = _check_outdir(args.out)
     if err is not None:
         print(err, file=sys.stderr)
         return 2
 
-    modes = tuple(args.modes) if args.modes else DEFAULT_MODES
-    if args.seeds is None:
-        seeds: tuple = (None, 7) if args.quick else DEFAULT_SEEDS
-    else:
-        seeds = tuple(
-            None if s.lower() == "none" else int(s) for s in args.seeds
-        )
-    if args.policies:
-        policies: tuple = tuple(args.policies)
-    else:
-        policies = ("fifo",) if args.quick else default_policies()
     try:
         extent = tuple(int(e) for e in args.extent.lower().split("x"))
-        if len(extent) != 3 or any(e < 1 for e in extent):
+        if len(extent) != 3 or any(e < 1 or e % n for e, n in zip(extent, DEFAULT_LAYOUT)):
             raise ValueError
     except ValueError:
         print(
-            f"bad --extent {args.extent!r}: expected NXxNYxNZ, e.g. 8x8x8",
+            f"bad --extent {args.extent!r}: expected NXxNYxNZ divisible by the "
+            f"{'x'.join(map(str, DEFAULT_LAYOUT))} patch layout, e.g. 8x8x8",
             file=sys.stderr,
         )
         return 2
 
     report = run_differential(
-        modes=modes,
-        policies=policies,
-        seeds=seeds,
+        modes=tuple(args.modes or DEFAULT_MODES),
+        policies=tuple(args.policies or POLICIES),
+        seeds=tuple(args.seeds or DEFAULT_SEEDS),
         nsteps=args.nsteps,
         extent=extent,  # type: ignore[arg-type]
         num_ranks=args.cgs,
@@ -422,6 +424,21 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _add_case_options(p, problem: str, variant: str, cgs: bool = True) -> None:
+    """The options naming one experimental case, shared by the case commands."""
+    p.add_argument("--problem", default=problem, choices=[pr.name for pr in PROBLEMS])
+    p.add_argument("--variant", default=variant, choices=sorted(VARIANTS))
+    if cgs:
+        p.add_argument("--cgs", type=_positive_int, default=8)
+    p.add_argument("--nsteps", type=_positive_int, default=10)
+    p.add_argument(
+        "--select-policy",
+        default="fifo",
+        choices=sorted(POLICIES),
+        help="ready-queue ordering for offloadable tasks",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -442,25 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="regenerate a paper table (1-7)")
     p.add_argument("number", help="table number, e.g. 5")
-    p.add_argument("--nsteps", type=int, default=10, help="timesteps per case")
+    p.add_argument("--nsteps", type=_positive_int, default=10, help="timesteps per case")
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("fig", help="regenerate a paper figure (5, 6-8, 9, 10)")
     p.add_argument("number", help="figure number, e.g. 9")
-    p.add_argument("--nsteps", type=int, default=10)
+    p.add_argument("--nsteps", type=_positive_int, default=10)
     p.set_defaults(fn=_cmd_fig)
 
     p = sub.add_parser("run", help="run one experimental case")
-    p.add_argument("--problem", default="32x32x512", choices=[pr.name for pr in PROBLEMS])
-    p.add_argument("--variant", default="acc.async", choices=sorted(VARIANTS))
-    p.add_argument("--cgs", type=int, default=8)
-    p.add_argument("--nsteps", type=int, default=10)
-    p.add_argument(
-        "--select-policy",
-        default="fifo",
-        choices=sorted(POLICIES),
-        help="ready-queue ordering for offloadable tasks",
-    )
+    _add_case_options(p, "32x32x512", "acc.async")
     p.add_argument(
         "--telemetry-out",
         default=None,
@@ -473,17 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="instrumented run: per-rank time accounting and critical path",
     )
-    p.add_argument("--problem", default="16x16x512", choices=[pr.name for pr in PROBLEMS])
-    p.add_argument("--variant", default="acc.async", choices=sorted(VARIANTS))
-    p.add_argument("--cgs", type=int, default=8)
-    p.add_argument("--nsteps", type=int, default=10)
-    p.add_argument("--top", type=int, default=10, help="activities in the top-N table")
-    p.add_argument(
-        "--select-policy",
-        default="fifo",
-        choices=sorted(POLICIES),
-        help="ready-queue ordering for offloadable tasks",
-    )
+    _add_case_options(p, "16x16x512", "acc.async")
+    p.add_argument("--top", type=_positive_int, default=10, help="activities in the top-N table")
     p.add_argument(
         "--telemetry-out",
         default=None,
@@ -496,17 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="instrumented run: Perfetto/Chrome trace JSON + ASCII Gantt",
     )
-    p.add_argument("--problem", default="16x16x512", choices=[pr.name for pr in PROBLEMS])
-    p.add_argument("--variant", default="acc.async", choices=sorted(VARIANTS))
-    p.add_argument("--cgs", type=int, default=8)
-    p.add_argument("--nsteps", type=int, default=10)
+    _add_case_options(p, "16x16x512", "acc.async")
     p.add_argument("--output", default="trace.json", help="trace JSON path")
-    p.add_argument("--ranks", type=int, default=2, help="ranks to show as ASCII Gantt")
     p.add_argument(
-        "--select-policy",
-        default="fifo",
-        choices=sorted(POLICIES),
-        help="ready-queue ordering for offloadable tasks",
+        "--ranks", type=_positive_int, default=2, help="ranks to show as ASCII Gantt"
     )
     p.set_defaults(fn=_cmd_trace)
 
@@ -514,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         "resilience",
         help="inject faults, recover, and verify bit-exact physics",
     )
-    p.add_argument("--nsteps", type=int, default=12)
-    p.add_argument("--cgs", type=int, default=4)
+    p.add_argument("--nsteps", type=_positive_int, default=12)
+    p.add_argument("--cgs", type=_positive_int, default=4)
     p.add_argument("--extent", type=int, default=16, help="cubic grid edge length")
     p.add_argument("--slowdown", type=float, default=0.1, help="kernel slowdown probability")
     p.add_argument("--stuck", type=float, default=0.05, help="stuck-kernel probability")
@@ -533,16 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential verification: schedule invariants + bit-identical physics",
     )
     p.add_argument(
-        "--quick",
-        action="store_true",
-        help="small matrix (all modes, fifo, one fault seed) for CI smoke",
-    )
-    p.add_argument(
-        "--full",
-        action="store_true",
-        help="full matrix (all modes x all policies x all seeds); the default",
-    )
-    p.add_argument(
         "--modes",
         nargs="+",
         choices=["mpe_only", "sync", "async"],
@@ -554,18 +536,21 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         choices=sorted(POLICIES),
         default=None,
-        help="selection policies to cover (default: all; --quick: fifo)",
+        help="selection policies to cover (default: all)",
     )
     p.add_argument(
         "--seeds",
         nargs="+",
+        type=_seed,
         default=None,
         metavar="SEED",
         help="fault seeds to cover ('none' = fault-free case)",
     )
-    p.add_argument("--nsteps", type=int, default=3)
+    p.add_argument("--nsteps", type=_positive_int, default=3)
     p.add_argument("--extent", default="8x8x8", help="grid extent, e.g. 8x8x8")
-    p.add_argument("--cgs", type=int, default=2, help="simulated core-groups (ranks)")
+    p.add_argument(
+        "--cgs", type=_positive_int, default=2, help="simulated core-groups (ranks)"
+    )
     p.add_argument(
         "--out",
         default=None,
@@ -575,20 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("report", help="regenerate the complete evaluation")
-    p.add_argument("--nsteps", type=int, default=10)
+    p.add_argument("--nsteps", type=_positive_int, default=10)
     p.add_argument("--output", default=None, help="write to a file instead of stdout")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("sweep", help="strong-scaling sweep of one problem/variant")
-    p.add_argument("--problem", default="16x16x512", choices=[pr.name for pr in PROBLEMS])
-    p.add_argument("--variant", default="acc_simd.async", choices=sorted(VARIANTS))
-    p.add_argument("--nsteps", type=int, default=10)
-    p.add_argument(
-        "--select-policy",
-        default="fifo",
-        choices=sorted(POLICIES),
-        help="ready-queue ordering for offloadable tasks",
-    )
+    _add_case_options(p, "16x16x512", "acc_simd.async", cgs=False)
     p.add_argument(
         "--telemetry-out",
         default=None,

@@ -17,8 +17,7 @@ engines (see ``docs/ARCHITECTURE.md`` for the full picture):
   watchdog/retry/MPE-fallback recovery ladder, and the
   memory-interference debt model of Sec. VII-C;
 * :mod:`~repro.core.schedulers.selection` — ready-queue ordering
-  policies (``fifo`` / ``max_dependents`` / ``most_messages`` /
-  ``critical_path``).
+  policies (``fifo`` / ``most_messages``).
 
 The paper's modes (Sec. V-C last paragraph) differ in where a kernel
 runs and whether the MPE waits for it.  The constructor — the only place
@@ -190,8 +189,9 @@ class SunwayScheduler(SchedulerCore):
         if deadline is not None:
             events.append(deadline)
         if not events:
+            where = f"step {st.step}" if st.step else "initialization"
             raise DeadlockError(
-                f"rank {self.rank} step {st.step}: {len(st.remaining)} tasks stuck, "
+                f"rank {self.rank} {where}: {len(st.remaining)} tasks stuck, "
                 f"no events to wait on (task-graph bug?)"
             )
         t0 = self.sim.now

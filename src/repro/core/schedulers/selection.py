@@ -18,11 +18,6 @@ from __future__ import annotations
 import typing as _t
 
 
-def _max_dependents(graph, rank: int) -> dict[int, float]:
-    """Prefer the task that unblocks the most same-rank dependents."""
-    return {dt.dt_id: len(graph.dependents_of(dt)) for dt in graph.local_tasks(rank)}
-
-
 def _most_messages(graph, rank: int) -> dict[int, float]:
     """Prefer the task whose completion releases the most send bytes."""
     return {
@@ -31,35 +26,11 @@ def _most_messages(graph, rank: int) -> dict[int, float]:
     }
 
 
-def _critical_path(graph, rank: int) -> dict[int, float]:
-    """Prefer the task heading the longest same-rank dependency chain.
-
-    The score of a task is the number of tasks on the longest downstream
-    path it sits at the head of (itself included), computed by memoized
-    DFS over :meth:`~repro.core.taskgraph.TaskGraph.dependents_of`.
-    Dispatching chain heads first shortens the step's critical path when
-    kernels overlap with MPE work.
-    """
-    memo: dict[int, int] = {}
-
-    def depth(dt) -> int:
-        got = memo.get(dt.dt_id)
-        if got is None:
-            memo[dt.dt_id] = got = 1 + max(
-                (depth(d) for d in graph.dependents_of(dt)), default=0
-            )
-        return got
-
-    return {dt.dt_id: depth(dt) for dt in graph.local_tasks(rank)}
-
-
 #: Policy name -> scorer; ``None`` dispatches in readiness order (the
 #: paper's baseline behaviour).
 POLICIES: dict[str, _t.Callable[[object, int], dict[int, float]] | None] = {
     "fifo": None,
-    "max_dependents": _max_dependents,
     "most_messages": _most_messages,
-    "critical_path": _critical_path,
 }
 
 

@@ -19,10 +19,10 @@ See ``docs/VERIFICATION.md``.
 from repro.verify.bundle import ReproBundle
 from repro.verify.differential import (
     CaseResult,
+    DEFAULT_LAYOUT,
     DEFAULT_MODES,
     DEFAULT_SEEDS,
     check_nonperturbation,
-    default_policies,
     fault_config_for,
     fields_identical,
     fields_of,
@@ -35,6 +35,7 @@ from repro.verify.validator import ScheduleValidator
 __all__ = [
     "CATALOG",
     "CaseResult",
+    "DEFAULT_LAYOUT",
     "DEFAULT_MODES",
     "DEFAULT_SEEDS",
     "Invariant",
@@ -43,7 +44,6 @@ __all__ = [
     "VerificationError",
     "Violation",
     "check_nonperturbation",
-    "default_policies",
     "fault_config_for",
     "fields_identical",
     "fields_of",

@@ -28,6 +28,7 @@ import typing as _t
 
 import numpy as np
 
+from repro.core.schedulers.selection import POLICIES
 from repro.verify.bundle import ReproBundle
 from repro.verify.validator import ScheduleValidator
 
@@ -44,12 +45,9 @@ _FAULT_PROBS = dict(
 #: Default differential matrix coordinates.
 DEFAULT_MODES = ("mpe_only", "sync", "async")
 DEFAULT_SEEDS = (None, 7, 23, 101)  # None = fault-free
-
-
-def default_policies() -> tuple[str, ...]:
-    from repro.core.schedulers.selection import POLICIES
-
-    return tuple(sorted(POLICIES))
+#: 16 patches on 2 ranks: enough off-rank faces that ``most_messages``
+#: reorders async dispatch, so the policy axis checks a different schedule.
+DEFAULT_LAYOUT = (4, 4, 1)
 
 
 def fault_config_for(seed: int):
@@ -214,11 +212,11 @@ def minimize_case(
 # ---------------------------------------------------------------- harness
 def run_differential(
     modes: _t.Sequence[str] = DEFAULT_MODES,
-    policies: _t.Sequence[str] | None = None,
+    policies: _t.Sequence[str] = tuple(POLICIES),
     seeds: _t.Sequence[int | None] = DEFAULT_SEEDS,
     nsteps: int = 3,
     extent: tuple[int, int, int] = (8, 8, 8),
-    layout: tuple[int, int, int] = (2, 2, 1),
+    layout: tuple[int, int, int] = DEFAULT_LAYOUT,
     num_ranks: int = 2,
     out: str | pathlib.Path | None = None,
     case_hook: _t.Callable | None = None,
@@ -237,8 +235,6 @@ def run_differential(
         "num_ranks": num_ranks,
         "nsteps": nsteps,
     }
-    if policies is None:
-        policies = default_policies()
 
     # fault-free reference (first mode, fifo), cached per step count for
     # the minimizer

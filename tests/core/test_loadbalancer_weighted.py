@@ -7,7 +7,6 @@ import networkx as nx
 
 from repro.core.grid import Grid
 from repro.core.loadbalancer import LoadBalancer
-from repro.core.schedulers.selection import POLICIES, select_key
 from repro.core.task import Task, TaskKind
 from repro.core.taskgraph import TaskGraph
 from repro.core.varlabel import VarLabel
@@ -30,24 +29,10 @@ def chain_graph(num_ranks=2):
     return TaskGraph(grid, [t1, t2, t3], assignment, num_ranks), grid
 
 
-# -- critical path of the compiled graph ------------------------------------------------
-
-def test_critical_path_of_chain():
-    """The critical-path policy scores each task by the chain it heads."""
-    graph, _ = chain_graph(num_ranks=1)
-    key = select_key("critical_path", graph, 0)
-    depth = {dt.task.name: key(dt) for dt in graph.detailed_tasks}
-    assert depth == {"advance": 3, "smooth": 2, "norm": 1}
-
-
-def test_critical_path_empty_graph():
-    graph = TaskGraph(Grid(extent=(4, 4, 4)), [], {0: 0}, 1)
-    assert POLICIES["critical_path"](graph, 0) == {}
-
+# -- the compiled graph -------------------------------------------------------------------
 
 def test_networkx_agrees_its_a_dag():
-    """The internal dependencies form a DAG, and networkx's longest path
-    matches the critical-path selection policy's deepest chain."""
+    """The internal dependencies form a DAG over every detailed task."""
     graph, _ = chain_graph()
     g = nx.DiGraph()
     g.add_nodes_from(dt.dt_id for dt in graph.detailed_tasks)
@@ -55,9 +40,6 @@ def test_networkx_agrees_its_a_dag():
         g.add_edges_from((p, consumer) for p in producers)
     assert nx.is_directed_acyclic_graph(g)
     assert g.number_of_nodes() == len(graph.detailed_tasks)
-    keys = [select_key("critical_path", graph, r) for r in range(graph.num_ranks)]
-    deepest = max(keys[dt.rank](dt) for dt in graph.detailed_tasks)
-    assert deepest == nx.dag_longest_path_length(g) + 1  # edges -> nodes
 
 
 # -- weighted load balancing -------------------------------------------------------------

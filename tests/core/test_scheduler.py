@@ -8,6 +8,7 @@ errors instead of hangs.
 
 import json
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -351,19 +352,38 @@ def test_on_ready_hook_fires_once_per_task():
 
 # -- failure handling -------------------------------------------------------------------
 
+def _impossible_blocker(graph):
+    """The first task waits on a producer that does not exist (caught by
+    the scheduler: nothing left to wait on)."""
+    dt0 = graph.detailed_tasks[0]
+    graph.internal_deps[dt0.dt_id].add(9999)
+    graph.internal_deps[9999] = set()
+
+
+def _message_never_sent(graph):
+    """The first task also waits on a message no rank sends (caught by
+    the controller: the event queue drains with the receive posted)."""
+    phantom = SimpleNamespace(from_rank=0, tag=10**6, region=SimpleNamespace(num_cells=1))
+    victim = graph.detailed_tasks[0]
+    recvs_for, recvs_on = graph.recvs_for, graph.recvs_on
+    graph.recvs_for = lambda dt: recvs_for(dt) + [phantom] * (dt is victim)
+    graph.recvs_on = lambda rank: recvs_on(rank) + [phantom]
+
+
 def test_deadlock_detected_not_hung():
-    """A corrupted graph (impossible blocker) raises DeadlockError."""
+    """A corrupted timestep or initialization graph raises DeadlockError
+    naming the phase the rank stopped in, whichever layer notices."""
     grid = Grid(extent=(8, 8, 8), layout=(1, 1, 1))
     prob = BurgersProblem(grid, with_reduction=False)
-    ctl = SimulationController(
-        grid, prob.tasks(), prob.init_tasks(), num_ranks=1, mode="async", real=True
-    )
-    # sabotage: pretend the only task has an extra never-satisfied blocker
-    dt0 = ctl.graph.detailed_tasks[0]
-    ctl.graph.internal_deps[dt0.dt_id].add(9999)
-    ctl.graph.internal_deps[9999] = set()
-    with pytest.raises(DeadlockError):
-        ctl.run(nsteps=1, dt=1e-4)
+    for sabotage in (_impossible_blocker, _message_never_sent):
+        for graph_attr, where in (("graph", "step 1"), ("init_graph", "initialization")):
+            ctl = SimulationController(
+                grid, prob.tasks(), prob.init_tasks(), num_ranks=1, mode="async", real=True
+            )
+            sabotage(getattr(ctl, graph_attr))
+            with pytest.raises(DeadlockError) as info:
+                ctl.run(nsteps=1, dt=1e-4)
+            assert f"rank 0 {where}:" in str(info.value), (sabotage.__name__, graph_attr)
 
 
 @pytest.mark.parametrize("mode", ["async", "sync"])

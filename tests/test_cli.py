@@ -39,16 +39,38 @@ def test_run_case(capsys):
 def test_run_with_select_policy(capsys):
     code = main(
         ["run", "--problem", "16x16x512", "--variant", "acc.async",
-         "--cgs", "4", "--nsteps", "2", "--select-policy", "critical_path"]
+         "--cgs", "4", "--nsteps", "2", "--select-policy", "most_messages"]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "critical_path" in out and "time/step" in out
+    assert "most_messages" in out and "time/step" in out
 
 
 def test_run_rejects_unknown_select_policy():
     with pytest.raises(SystemExit):
         main(["run", "--problem", "16x16x512", "--select-policy", "fastest_first"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--nsteps", "0"],
+        ["run", "--cgs", "0"],
+        ["profile", "--top", "-1"],
+        ["profile", "--top", "0"],
+        ["trace", "--ranks", "0"],
+        ["sweep", "--nsteps", "-2"],
+        ["table", "5", "--nsteps", "0"],
+        ["verify", "--seeds", "abc"],
+        ["verify", "--cgs", "two"],
+    ],
+)
+def test_meaningless_counts_exit_2(argv, capsys):
+    """A count below 1 or a malformed seed is an argparse error, not a traceback."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "expected" in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_problem():
@@ -168,21 +190,18 @@ def test_verify_rejects_unknown_policy():
         main(["verify", "--policies", "fastest_first"])
 
 
-def test_verify_rejects_conflicting_depth_flags(capsys):
-    assert main(["verify", "--quick", "--full"]) == 2
-    err = capsys.readouterr().err
-    assert "--quick" in err and "--full" in err
-
-
 def test_verify_rejects_malformed_extent(capsys):
-    assert main(["verify", "--quick", "--extent", "8x8"]) == 2
+    assert main(["verify", "--extent", "8x8"]) == 2
     assert "8x8" in capsys.readouterr().err
+    # the default 4x4x1 patch layout cannot split 6 cells in x or y
+    assert main(["verify", "--extent", "6x6x6"]) == 2
+    assert "4x4x1" in capsys.readouterr().err
 
 
 def test_verify_rejects_blocked_out_dir(tmp_path, capsys):
     blocker = tmp_path / "report"
     blocker.write_text("occupied\n")
-    assert main(["verify", "--quick", "--out", str(blocker)]) == 2
+    assert main(["verify", "--out", str(blocker)]) == 2
     assert "report" in capsys.readouterr().err
 
 

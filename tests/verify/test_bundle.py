@@ -9,7 +9,7 @@ def _bundle(**overrides):
     kwargs = dict(
         failure="run-before-recv",
         mode="async",
-        select_policy="max_dependents",
+        select_policy="most_messages",
         fault_seed=23,
         problem={"extent": [8, 8, 8], "layout": [2, 2, 1], "num_ranks": 2, "nsteps": 1},
         violation={
@@ -36,7 +36,7 @@ def test_command_reconstructs_the_exact_case():
     assert cmd.startswith("repro verify")
     for flag in (
         "--modes async",
-        "--policies max_dependents",
+        "--policies most_messages",
         "--seeds 23",
         "--nsteps 1",
         "--extent 8x8x8",
