@@ -14,20 +14,11 @@ Usage::
 import sys
 import tempfile
 
-import numpy as np
-
 from repro.burgers import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
 from repro.io.uda import load_checkpoint, restart_tasks, save_checkpoint
-
-
-def collect(result):
-    return {
-        v.patch.patch_id: v.interior.copy()
-        for dw in result.final_dws
-        for v in dw.grid_variables()
-    }
+from repro.verify import fields_identical, fields_of
 
 
 def main() -> None:
@@ -56,8 +47,7 @@ def main() -> None:
         grid, problem.tasks(), problem.init_tasks(), num_ranks=2, real=True
     ).run(nsteps=10, dt=dt)
 
-    a, b = collect(resumed), collect(straight)
-    identical = all(np.array_equal(a[p], b[p]) for p in b)
+    identical = fields_identical(fields_of(resumed), fields_of(straight))
     print(f"restart (2 CGs -> 4 CGs) vs uninterrupted run: "
           f"{'bit-identical' if identical else 'MISMATCH'}")
     assert identical

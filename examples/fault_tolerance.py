@@ -17,21 +17,12 @@ Usage::
 
 import sys
 
-import numpy as np
-
 from repro.burgers import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
 from repro.faults import FaultConfig, ResiliencePolicy
 from repro.faults.recovery import ResilientRunner
-
-
-def collect(dws):
-    return {
-        v.patch.patch_id: v.interior.copy()
-        for dw in dws
-        for v in dw.grid_variables()
-    }
+from repro.verify import fields_identical, fields_of
 
 
 def main() -> None:
@@ -72,8 +63,7 @@ def main() -> None:
     report.fault_free_time = reference.total_time
     print(report.render())
 
-    ref, got = collect(reference.final_dws), collect(runner.final_dws)
-    identical = all(np.array_equal(got[p], ref[p]) for p in ref)
+    identical = fields_identical(fields_of(runner.last_result), fields_of(reference))
     print(
         f"recovered on {report.num_ranks_end} of {cgs} CGs; physics "
         f"{'bit-identical' if identical else 'MISMATCH'} vs fault-free run"

@@ -51,6 +51,13 @@ def _case(args):
     return problem_by_name(args.problem), variant
 
 
+def _check_cgs(problem, cgs: int) -> str | None:
+    """Reject a CG count below the problem's Table III minimum (its memory)."""
+    if cgs < problem.min_cgs:
+        return f"--cgs {cgs}: problem {problem.name} needs at least {problem.min_cgs} CGs (memory)"
+    return None
+
+
 def _check_outdir(path_str: str | None) -> str | None:
     """Reject an output directory blocked by an existing file.
 
@@ -148,11 +155,11 @@ def _cmd_fig(args) -> int:
 def _cmd_run(args) -> int:
     from repro.burgers.flops import table1_row
 
-    err = _check_outdir(getattr(args, "telemetry_out", None))
+    problem, variant = _case(args)
+    err = _check_outdir(getattr(args, "telemetry_out", None)) or _check_cgs(problem, args.cgs)
     if err is not None:
         print(err, file=sys.stderr)
         return 2
-    problem, variant = _case(args)
     bundle = None
     if getattr(args, "telemetry_out", None):
         bundle = run_instrumented(problem, variant, args.cgs, nsteps=args.nsteps)
@@ -223,11 +230,11 @@ def _cmd_profile(args) -> int:
     from repro.telemetry import analyze
     from repro.telemetry.analyzer import render_top_tasks
 
-    err = _check_outdir(getattr(args, "telemetry_out", None))
+    problem, variant = _case(args)
+    err = _check_outdir(getattr(args, "telemetry_out", None)) or _check_cgs(problem, args.cgs)
     if err is not None:
         print(err, file=sys.stderr)
         return 2
-    problem, variant = _case(args)
     bundle = run_instrumented(problem, variant, args.cgs, nsteps=args.nsteps)
     r = bundle.experiment
     rows = [
@@ -261,6 +268,10 @@ def _cmd_trace(args) -> int:
     import pathlib
 
     problem, variant = _case(args)
+    err = _check_cgs(problem, args.cgs)
+    if err is not None:
+        print(err, file=sys.stderr)
+        return 2
     bundle = run_instrumented(problem, variant, args.cgs, nsteps=args.nsteps)
     out = pathlib.Path(args.output)
     out.write_text(
@@ -279,41 +290,44 @@ def _cmd_trace(args) -> int:
 
 def _cmd_resilience(args) -> int:
     """Fault-injection demo: inject, recover, verify bit-exactness."""
-    import numpy as np
-
     from repro.burgers.component import BurgersProblem
     from repro.core.controller import SimulationController
     from repro.core.grid import Grid
     from repro.faults import FaultConfig, ResiliencePolicy
     from repro.faults.recovery import ResilientRunner
-
-    e = args.extent
-    grid = Grid(extent=(e, e, e), layout=(2, 2, 1))
-    dt = BurgersProblem(grid).stable_dt()
+    from repro.verify import fields_identical, fields_of
 
     if args.fail_rank is not None and args.fail_rank < 0:
         args.fail_rank = args.fail_step = None
-    config = FaultConfig(
-        seed=args.seed,
-        kernel_slowdown_prob=args.slowdown,
-        kernel_stuck_prob=args.stuck,
-        dma_error_prob=args.dma,
-        msg_drop_prob=args.drop,
-        msg_dup_prob=args.dup,
-        msg_delay_prob=args.delay,
-        fail_rank=args.fail_rank,
-        fail_at_step=args.fail_step,
-    )
-    policy = ResiliencePolicy(checkpoint_every=args.checkpoint_every)
-    runner = ResilientRunner(
-        BurgersProblem,
-        grid,
-        nsteps=args.nsteps,
-        dt=dt,
-        num_ranks=args.cgs,
-        config=config,
-        policy=policy,
-    )
+    # malformed inputs are rejected here, before any simulated step
+    try:
+        e = args.extent
+        grid = Grid(extent=(e, e, e), layout=(2, 2, 1))
+        dt = BurgersProblem(grid).stable_dt()
+        config = FaultConfig(
+            seed=args.seed,
+            kernel_slowdown_prob=args.slowdown,
+            kernel_stuck_prob=args.stuck,
+            dma_error_prob=args.dma,
+            msg_drop_prob=args.drop,
+            msg_dup_prob=args.dup,
+            msg_delay_prob=args.delay,
+            fail_rank=args.fail_rank,
+            fail_at_step=args.fail_step,
+        )
+        policy = ResiliencePolicy(checkpoint_every=args.checkpoint_every)
+        runner = ResilientRunner(
+            BurgersProblem,
+            grid,
+            nsteps=args.nsteps,
+            dt=dt,
+            num_ranks=args.cgs,
+            config=config,
+            policy=policy,
+        )
+    except ValueError as exc:
+        print(f"repro resilience: {exc}", file=sys.stderr)
+        return 2
     report = runner.run()
 
     # fault-free reference: same problem, no injector — the recovered
@@ -323,19 +337,7 @@ def _cmd_resilience(args) -> int:
         grid, problem.tasks(), problem.init_tasks(), num_ranks=args.cgs, real=True
     ).run(nsteps=args.nsteps, dt=dt)
     report.fault_free_time = reference.total_time
-
-    def fields(dws):
-        return {
-            v.patch.patch_id: v.interior
-            for dw in dws
-            for v in dw.grid_variables()
-        }
-
-    ref = fields(reference.final_dws)
-    got = fields(runner.final_dws)
-    identical = set(ref) == set(got) and all(
-        np.array_equal(got[p], ref[p]) for p in ref
-    )
+    identical = fields_identical(fields_of(runner.last_result), fields_of(reference))
 
     print(report.render())
     print(
@@ -517,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delay", type=float, default=0.05, help="message delay probability")
     p.add_argument("--fail-rank", type=int, default=2, help="rank to kill (negative: none)")
     p.add_argument("--fail-step", type=int, default=8, help="timestep the rank dies at")
-    p.add_argument("--checkpoint-every", type=int, default=5)
+    p.add_argument("--checkpoint-every", type=_positive_int, default=5)
     p.set_defaults(fn=_cmd_resilience)
 
     p = sub.add_parser(

@@ -119,7 +119,6 @@ class SimulationController:
         balancer: str = "sfc",
         fabric_config: FabricConfig | None = None,
         trace_enabled: bool = False,
-        params: dict | None = None,
         scheduler_kwargs: dict | None = None,
         scheduler_factory: _t.Callable[..., SunwayScheduler] | None = None,
         memory_limit_bytes: int | None = None,
@@ -132,7 +131,6 @@ class SimulationController:
         self.num_ranks = num_ranks
         self.mode = mode
         self.real = real
-        self.params = dict(params or {})
         self.costs = cost_model if cost_model is not None else SunwayCostModel()
 
         #: Optional fault injector + resilience policy, threaded through
@@ -201,17 +199,9 @@ class SimulationController:
         for r, at in enumerate(self.athreads):
             at.faults = faults
             at.rank = r
-        # Faults/resilience reach only the timestep schedulers (the init
-        # graph builds the pre-failure state and stays clean); kwargs are
-        # withheld entirely when unset so third-party factories without
-        # these parameters keep working.
-        if faults is not None or resilience is not None:
-            sched_kwargs["faults"] = faults
-            sched_kwargs["resilience"] = resilience
-        if telemetry is not None:
-            sched_kwargs["telemetry"] = telemetry
-        if validator is not None:
-            sched_kwargs["validator"] = validator
+        # Faults, resilience, telemetry and the validator reach only the
+        # timestep schedulers (the init graph builds the pre-failure state,
+        # before the measured window, and stays clean).
         self.schedulers = [
             factory(
                 self.sim,
@@ -223,14 +213,14 @@ class SimulationController:
                 mode=mode,
                 real=real,
                 trace=self.trace,
+                faults=faults,
+                resilience=resilience,
+                telemetry=telemetry,
+                validator=validator,
                 **sched_kwargs,
             )
             for r in range(num_ranks)
         ]
-        sched_kwargs.pop("faults", None)
-        sched_kwargs.pop("resilience", None)
-        sched_kwargs.pop("telemetry", None)
-        sched_kwargs.pop("validator", None)
         self._folded_retries = [0] * num_ranks
         self.init_schedulers = [
             factory(
@@ -247,8 +237,6 @@ class SimulationController:
             )
             for r in range(num_ranks)
         ]
-        for sched in self.schedulers + self.init_schedulers:
-            sched.params = self.params
 
     def _check_memory(self, limit_bytes: int) -> None:
         """Refuse configurations whose per-rank state exceeds the CG memory.

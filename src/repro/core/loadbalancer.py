@@ -3,9 +3,9 @@
 "Distribute tasks among different computing nodes (or processes) with the
 help from the load balancer" (paper Sec. V-C step 2).  Uintah's production
 load balancer orders patches along a space-filling curve and cuts the
-curve into contiguous, equally-weighted chunks; with the paper's uniform
-patches this reduces to equal-count chunks.  Three strategies are
-provided; all are deterministic.
+curve into contiguous chunks of equal cost; the paper's patches are
+uniform, so every strategy here cuts equal-count chunks.  Three
+strategies are provided; all are deterministic.
 """
 
 from __future__ import annotations
@@ -46,19 +46,11 @@ class LoadBalancer:
             raise ValueError(f"unknown strategy {strategy!r}; pick from {self.STRATEGIES}")
         self.strategy = strategy
 
-    def assign(
-        self,
-        grid: Grid,
-        num_ranks: int,
-        weights: dict[int, float] | None = None,
-    ) -> dict[int, int]:
+    def assign(self, grid: Grid, num_ranks: int) -> dict[int, int]:
         """Return ``{patch_id: rank}`` covering every patch of ``grid``.
 
-        ``weights`` (optional, ``{patch_id: cost}``) enables Uintah-style
-        weighted balancing: the block and SFC strategies cut the patch
-        ordering into contiguous chunks of approximately equal total
-        weight instead of equal count.  The paper's evaluation uses
-        uniform patches, i.e. no weights.
+        The block and SFC strategies cut their patch ordering into
+        contiguous chunks of equal count.
         """
         if num_ranks < 1:
             raise ValueError(f"need >= 1 rank, got {num_ranks}")
@@ -68,12 +60,6 @@ class LoadBalancer:
                 "schedules at least one patch per CG"
             )
         patches = grid.patches()
-        if weights is not None:
-            missing = [p.patch_id for p in patches if p.patch_id not in weights]
-            if missing:
-                raise ValueError(f"weights missing for patches {missing[:5]}")
-            if any(weights[p.patch_id] <= 0 for p in patches):
-                raise ValueError("patch weights must be positive")
         if self.strategy == "roundrobin":
             return {p.patch_id: i % num_ranks for i, p in enumerate(patches)}
         if self.strategy == "sfc":
@@ -82,28 +68,10 @@ class LoadBalancer:
             order = patches
 
         assignment: dict[int, int] = {}
-        if weights is None:
-            n = len(order)
-            for pos, patch in enumerate(order):
-                # equal-count contiguous chunks along the curve
-                assignment[patch.patch_id] = min(pos * num_ranks // n, num_ranks - 1)
-            return assignment
-
-        # weighted: walk the curve, advancing the rank whenever its share
-        # of the total weight is consumed (Uintah's curve-cutting)
-        total = sum(weights[p.patch_id] for p in order)
-        target = total / num_ranks
-        rank = 0
-        acc = 0.0
-        remaining_patches = len(order)
-        for patch in order:
-            must_leave = (num_ranks - rank - 1) >= remaining_patches
-            if (acc >= target and rank < num_ranks - 1) or must_leave:
-                rank += 1
-                acc = 0.0
-            assignment[patch.patch_id] = rank
-            acc += weights[patch.patch_id]
-            remaining_patches -= 1
+        n = len(order)
+        for pos, patch in enumerate(order):
+            # equal-count contiguous chunks along the curve
+            assignment[patch.patch_id] = min(pos * num_ranks // n, num_ranks - 1)
         return assignment
 
     @staticmethod

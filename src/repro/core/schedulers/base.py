@@ -432,5 +432,4 @@ class SchedulerCore:
             time=st.time,
             dt=st.dt_value,
             step=st.step,
-            params=getattr(self, "params", {}),
         )

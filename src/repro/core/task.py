@@ -70,8 +70,6 @@ class TaskContext:
     time: float
     dt: float
     step: int
-    #: Free-form per-problem parameters (viscosity, etc.).
-    params: dict = dataclasses.field(default_factory=dict)
 
 
 class Task:

@@ -50,10 +50,10 @@ class Simulator:
         assert sim.now == 2.0 and proc.value == "done"
     """
 
-    def __init__(self, start_time: float = 0.0):
+    def __init__(self):
         #: Current simulated time in seconds.  A plain attribute, read on
         #: every event; only :meth:`step` and :meth:`run` advance it.
-        self.now = float(start_time)
+        self.now = 0.0
         self._queue: list[tuple[float, int, object]] = []
         self._seq = 0
         #: Events processed by :meth:`run` over this simulator's life

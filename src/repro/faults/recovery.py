@@ -69,24 +69,31 @@ class ResilientRunner:
         config: FaultConfig | None = None,
         policy: ResiliencePolicy | None = None,
         archive_root: str | None = None,
-        mode: str = "async",
-        real: bool = True,
         controller_kwargs: dict | None = None,
     ):
         if nsteps < 1:
             raise ValueError(f"nsteps must be >= 1, got {nsteps}")
         if num_ranks < 1:
             raise ValueError(f"need >= 1 rank, got {num_ranks}")
+        config = config or FaultConfig()
+        if config.fail_rank is not None and not 0 <= config.fail_rank < num_ranks:
+            raise ValueError(
+                f"fail_rank {config.fail_rank} is outside [0, {num_ranks}): "
+                "the failure could never fire"
+            )
+        if config.fail_at_step is not None and config.fail_at_step > nsteps:
+            raise ValueError(
+                f"fail_at_step {config.fail_at_step} is past nsteps {nsteps}: "
+                "the failure could never fire"
+            )
         self.problem_factory = problem_factory
         self.grid = grid
         self.nsteps = nsteps
         self.dt = dt
         self.num_ranks = num_ranks
-        self.config = config or FaultConfig()
+        self.config = config
         self.policy = policy or ResiliencePolicy()
         self.archive_root = archive_root or tempfile.mkdtemp(suffix=".uda")
-        self.mode = mode
-        self.real = real
         self.controller_kwargs = dict(controller_kwargs or {})
         self.injector = FaultInjector(self.config)
         #: Final per-rank data warehouses of the last completed segment.
@@ -101,8 +108,6 @@ class ResilientRunner:
             tasks,
             init_tasks,
             num_ranks=ranks,
-            mode=self.mode,
-            real=self.real,
             faults=self.injector,
             resilience=self.policy,
             **self.controller_kwargs,

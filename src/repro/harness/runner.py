@@ -41,13 +41,6 @@ class ExperimentResult:
     flops_per_step: float
     messages_per_step: float
     bytes_per_step: float
-    # -- resilience counters (structurally zero in fault-free runs) -------
-    kernel_timeouts: int = 0
-    kernel_retries: int = 0
-    mpe_fallbacks: int = 0
-    mpi_retries: int = 0
-    stragglers_detected: int = 0
-    rank_recoveries: int = 0
 
     @property
     def gflops(self) -> float:
@@ -82,7 +75,7 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _run_case(problem, variant, num_cgs, nsteps, with_reduction, **controller_kwargs):
+def _run_case(problem, variant, num_cgs, nsteps, **controller_kwargs):
     """Build the case's controller and run it; returns ``(result, dt)``."""
     if num_cgs < problem.min_cgs:
         raise ValueError(
@@ -92,7 +85,7 @@ def _run_case(problem, variant, num_cgs, nsteps, with_reduction, **controller_kw
     sched_kwargs = calibration.scheduler_kwargs()
     sched_kwargs["select_policy"] = variant.select_policy
     grid = problem.grid()
-    burgers = BurgersProblem(grid, fast_exp=True, with_reduction=with_reduction)
+    burgers = BurgersProblem(grid, fast_exp=True)
     controller = SimulationController(
         grid,
         burgers.tasks(),
@@ -120,12 +113,6 @@ def _experiment(problem, variant, num_cgs, nsteps, res: RunResult) -> Experiment
         flops_per_step=res.flops_per_step,
         messages_per_step=res.messages_sent / nsteps,
         bytes_per_step=res.bytes_sent / nsteps,
-        kernel_timeouts=res.stats.kernel_timeouts,
-        kernel_retries=res.stats.kernel_retries,
-        mpe_fallbacks=res.stats.mpe_fallbacks,
-        mpi_retries=res.stats.mpi_retries,
-        stragglers_detected=res.stats.stragglers_detected,
-        rank_recoveries=res.stats.rank_recoveries,
     )
 
 
@@ -134,14 +121,13 @@ def run_experiment(
     variant: Variant,
     num_cgs: int,
     nsteps: int = DEFAULT_NSTEPS,
-    with_reduction: bool = True,
 ) -> ExperimentResult:
     """Run (or recall) one experimental case; returns its measurements."""
-    key = (problem.name, variant.name, variant.select_policy, num_cgs, nsteps, with_reduction)
+    key = (problem.name, variant.name, variant.select_policy, num_cgs, nsteps)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    res, _ = _run_case(problem, variant, num_cgs, nsteps, with_reduction)
+    res, _ = _run_case(problem, variant, num_cgs, nsteps)
     out = _CACHE[key] = _experiment(problem, variant, num_cgs, nsteps, res)
     return out
 
@@ -151,7 +137,6 @@ def run_instrumented(
     variant: Variant,
     num_cgs: int,
     nsteps: int = DEFAULT_NSTEPS,
-    with_reduction: bool = True,
     created_at: str | None = None,
 ) -> InstrumentedRun:
     """Run one case with tracing and telemetry on; returns the full bundle.
@@ -168,7 +153,7 @@ def run_instrumented(
 
     telemetry = MetricsRegistry()
     result, dt = _run_case(
-        problem, variant, num_cgs, nsteps, with_reduction, trace_enabled=True, telemetry=telemetry
+        problem, variant, num_cgs, nsteps, trace_enabled=True, telemetry=telemetry
     )
     manifest = {
         "problem": problem.name,

@@ -27,9 +27,6 @@ class Variant:
     mode: str  # scheduler mode: "mpe_only" | "sync" | "async"
     tiling: bool
     simd: bool
-    #: Future-work extensions (paper Sec. IX), off in the paper's runs.
-    async_dma: bool = False
-    cpe_groups: int = 1
     #: Ready-queue ordering (see :mod:`repro.core.schedulers.selection`);
     #: the paper's runs use plain queue order.
     select_policy: str = "fifo"
@@ -45,11 +42,7 @@ class Variant:
 
     def cost_model(self) -> SunwayCostModel:
         """The calibrated cost model for this variant."""
-        return calibration.cost_model(
-            simd=self.simd,
-            async_dma=self.async_dma,
-            cpe_groups=self.cpe_groups,
-        )
+        return calibration.cost_model(simd=self.simd)
 
 
 #: Table IV, by name.

@@ -50,11 +50,6 @@ class FabricConfig:
     #: (buffered) at post time + overhead; larger sends complete with the
     #: transfer (rendezvous-like).
     eager_threshold: int = 32 * 1024
-    #: Model per-rank NIC contention: concurrent transfers touching the
-    #: same rank serialize their bandwidth phase through its NIC.  Off by
-    #: default (the paper's runs never saturate the 16 GB/s links; the
-    #: calibrated evaluation keeps the simpler model).
-    serialize_nic: bool = False
 
     def transfer_time(self, nbytes: int) -> float:
         """Seconds on the wire for an ``nbytes`` message."""
@@ -112,8 +107,6 @@ class Fabric:
         self._channels: dict[tuple[int, int, int], _Channel] = {}
         self._collectives: dict[tuple[str, int], list] = {}
         self._finished_collectives: set[tuple[str, int]] = set()
-        #: Per-rank NIC availability time (serialize_nic mode).
-        self._nic_free: list[float] = [0.0] * num_ranks
         self.messages_sent = 0
         self.bytes_sent = 0
         #: Receives whose completion was scheduled, per destination rank —
@@ -201,18 +194,7 @@ class Fabric:
 
     def _match(self, send_req: SendRequest, payload: object, recv_req: RecvRequest) -> None:
         # Transfer runs once both sides are posted (match happens "now").
-        if self.config.serialize_nic:
-            now = self.sim.now
-            src, dst = self._nic_lookup(send_req)
-            start = max(now, self._nic_free[src], self._nic_free[dst])
-            occupancy = send_req.nbytes / self.config.bandwidth
-            self._nic_free[src] = self._nic_free[dst] = start + occupancy
-            done_at = (
-                start + occupancy + self.config.sw_overhead + self.config.latency
-            )
-            done_in = done_at - now
-        else:
-            done_in = self.config.transfer_time(send_req.nbytes)
+        done_in = self.config.transfer_time(send_req.nbytes)
         if self._net_active:
             fault = self.faults.message_fault(
                 send_req.source, send_req.dest, send_req.nbytes, self.sim.now
@@ -272,10 +254,6 @@ class Fabric:
                 break
             self.messages_dropped += 1
         self._deliver(send_req, payload, recv_req, wire_cost)
-
-    def _nic_lookup(self, send_req: SendRequest) -> tuple[int, int]:
-        """Source and destination ranks of a matched send."""
-        return send_req.source, send_req.dest
 
     # -- collectives -------------------------------------------------------------
     def post_allreduce(

@@ -37,9 +37,9 @@ class CompletionFlag:
     scheduler "spin" without burning simulator events.
     """
 
-    def __init__(self, sim: Simulator, initial: int = 0):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self._value = int(initial)
+        self._value = 0
         self._waiters: list[tuple[int, Event]] = []
         #: Completion-flag audit hook (``on_clear`` / ``on_faaw``); set by
         #: the verification subsystem, ``None`` in normal runs.  Observers

@@ -3,8 +3,8 @@
 Every check the online :class:`~repro.verify.validator.ScheduleValidator`
 performs has an entry here — a stable identifier, which layer it guards,
 and a one-line statement of the invariant.  Violations reference catalog
-entries by identifier, so reports, telemetry metrics, and repro bundles
-all speak the same vocabulary (see ``docs/VERIFICATION.md``).
+entries by identifier, so reports and repro bundles all speak the same
+vocabulary (see ``docs/VERIFICATION.md``).
 
 The invariants fall into four families, mirroring the runtime layers:
 

@@ -48,10 +48,6 @@ class ScheduleValidator:
     window:
         How many recent events to keep in the ring buffer that a repro
         bundle snapshots around the first violation.
-    telemetry:
-        Optional :class:`~repro.telemetry.metrics.MetricsRegistry`; when
-        given, every violation increments ``verify.violations`` and
-        ``verify.violations.<invariant>`` counters.
     """
 
     def __init__(
@@ -59,11 +55,9 @@ class ScheduleValidator:
         ldm_bytes: int = DEFAULT_LDM_BYTES,
         strict: bool = False,
         window: int = 64,
-        telemetry=None,
     ):
         self.ldm_bytes = int(ldm_bytes)
         self.strict = strict
-        self.telemetry = telemetry
         self.violations: list[Violation] = []
         #: Ring buffer of recent event summaries (all ranks interleaved,
         #: in simulated-time order because the bus is synchronous).
@@ -101,9 +95,6 @@ class ScheduleValidator:
         self.violations.append(violation)
         if self.first_window is None:
             self.first_window = list(self.recent)
-        if self.telemetry is not None:
-            self.telemetry.inc("verify.violations")
-            self.telemetry.inc(f"verify.violations.{violation.invariant}")
         if self.strict:
             raise VerificationError(violation.render())
 

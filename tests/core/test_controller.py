@@ -104,35 +104,6 @@ def test_gflops_zero_guard():
     assert r.gflops == 0.0
 
 
-def test_params_reach_task_context():
-    grid = Grid(extent=(8, 8, 8), layout=(1, 1, 1))
-    seen = {}
-
-    u = VarLabel("u")
-
-    def init_action(ctx):
-        ctx.new_dw.allocate_and_put(u, ctx.patch, ghosts=1)
-
-    def advance(ctx):
-        seen.update(ctx.params)
-        var = ctx.new_dw.allocate_and_put(u, ctx.patch, ghosts=1)
-        var.interior[...] = 0.0
-
-    init = Task("init", kind=TaskKind.MPE, action=init_action)
-    init.computes_(u)
-    from repro.sunway.corerates import KernelCost
-
-    adv = Task("advance", kind=TaskKind.CPE_KERNEL, action=advance,
-               kernel_cost=KernelCost(stencil_flops=1, exp_calls=0))
-    adv.requires_(u, dw="old", ghosts=0).computes_(u)
-
-    ctl = SimulationController(
-        grid, [adv], [init], num_ranks=1, real=True, params={"viscosity": 0.01}
-    )
-    ctl.run(nsteps=1, dt=1e-3)
-    assert seen == {"viscosity": 0.01}
-
-
 def test_trace_disabled_by_default():
     _, prob, ctl = make_controller(trace=False)
     res = ctl.run(nsteps=1, dt=prob.stable_dt())

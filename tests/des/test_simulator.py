@@ -11,14 +11,6 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
-def test_clock_custom_start():
-    sim = Simulator(start_time=5.0)
-    assert sim.now == 5.0
-    sim.timeout(1.0)
-    sim.run()
-    assert sim.now == 6.0
-
-
 def test_timeout_advances_clock():
     sim = Simulator()
 

@@ -159,6 +159,29 @@ def test_last_survivor_cannot_recover(tmp_path):
         runner.run()
 
 
+@pytest.mark.parametrize(
+    "fail_rank, fail_at_step, match",
+    [
+        (4, 2, r"fail_rank 4 is outside \[0, 4\)"),
+        (-1, 2, r"fail_rank -1 is outside \[0, 4\)"),
+        (1, 5, "fail_at_step 5 is past nsteps 4"),
+    ],
+    ids=["rank-past-last", "negative-rank", "step-past-run"],
+)
+def test_failure_that_can_never_fire_is_rejected(fail_rank, fail_at_step, match):
+    """A rank the job does not have, or a step past the run, would
+    silently inject nothing; the runner refuses it up front."""
+    with pytest.raises(ValueError, match=match):
+        ResilientRunner(
+            BurgersProblem,
+            GRID,
+            nsteps=4,
+            dt=1e-3,
+            num_ranks=4,
+            config=FaultConfig(seed=0, fail_rank=fail_rank, fail_at_step=fail_at_step),
+        )
+
+
 def test_deterministic_reports(tmp_path):
     """Two identical resilient runs produce identical reports."""
     dt = BurgersProblem(GRID).stable_dt()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.harness import metrics
 from repro.harness.problems import problem_by_name
-from repro.harness.runner import clear_cache, run_experiment
+from repro.harness.runner import clear_cache, run_experiment, run_instrumented
 from repro.harness.variants import variant_by_name
 
 SMALL = problem_by_name("16x16x512")
@@ -144,12 +144,12 @@ def test_memory_crash_mechanism_matches_paper():
     )
 
 
-def test_experiments_are_fault_free(quick):
+def test_experiments_are_fault_free():
     """Without an injector no recovery machinery may ever fire — the
     resilience counter block is structurally zero."""
-    r = quick(SMALL, "acc.async", 4)
+    s = run_instrumented(SMALL, variant_by_name("acc.async"), 4, nsteps=3).result.stats
     counters = (
-        r.kernel_timeouts, r.kernel_retries, r.mpe_fallbacks,
-        r.mpi_retries, r.stragglers_detected, r.rank_recoveries,
+        s.kernel_timeouts, s.kernel_retries, s.mpe_fallbacks,
+        s.mpi_retries, s.stragglers_detected, s.rank_recoveries,
     )
     assert counters == (0,) * 6

@@ -270,47 +270,16 @@ def test_barrier_releases_all_at_once():
     assert times[0] >= 2.0
 
 
-# -- NIC serialization (link contention model) ---------------------------------------
+# -- concurrent transfers ------------------------------------------------------------
 
-def test_nic_serialization_serializes_same_source():
-    """Two large concurrent transfers from one rank share its NIC."""
+def test_concurrent_sends_from_one_rank_run_in_parallel():
+    """Two large concurrent transfers from one rank each get the full link."""
     big = 1_000_000
-    times = {}
-    for serialize in (False, True):
-        sim, fabric, comms = make_world(
-            3, bandwidth=1e9, latency=0.0, sw_overhead=0.0, serialize_nic=serialize
-        )
-        comms[0].isend(dest=1, tag=0, nbytes=big)
-        comms[0].isend(dest=2, tag=0, nbytes=big)
-        r1 = comms[1].irecv(source=0, tag=0)
-        r2 = comms[2].irecv(source=0, tag=0)
-        sim.run()
-        assert r1.complete and r2.complete
-        times[serialize] = sim.now
-    assert times[False] == pytest.approx(1e-3)       # parallel links
-    assert times[True] == pytest.approx(2e-3)        # serialized NIC
-
-
-def test_nic_serialization_disjoint_pairs_stay_parallel():
-    sim, fabric, comms = make_world(
-        4, bandwidth=1e9, latency=0.0, sw_overhead=0.0, serialize_nic=True
-    )
-    comms[0].isend(dest=1, tag=0, nbytes=1_000_000)
-    comms[2].isend(dest=3, tag=0, nbytes=1_000_000)
-    comms[1].irecv(source=0, tag=0)
-    comms[3].irecv(source=2, tag=0)
+    sim, fabric, comms = make_world(3, bandwidth=1e9, latency=0.0, sw_overhead=0.0)
+    comms[0].isend(dest=1, tag=0, nbytes=big)
+    comms[0].isend(dest=2, tag=0, nbytes=big)
+    r1 = comms[1].irecv(source=0, tag=0)
+    r2 = comms[2].irecv(source=0, tag=0)
     sim.run()
+    assert r1.complete and r2.complete
     assert sim.now == pytest.approx(1e-3)
-
-
-def test_nic_serialization_receiver_side_too():
-    """Two senders into one receiver serialize through its NIC."""
-    sim, fabric, comms = make_world(
-        3, bandwidth=1e9, latency=0.0, sw_overhead=0.0, serialize_nic=True
-    )
-    comms[0].isend(dest=2, tag=0, nbytes=1_000_000)
-    comms[1].isend(dest=2, tag=0, nbytes=1_000_000)
-    comms[2].irecv(source=0, tag=0)
-    comms[2].irecv(source=1, tag=0)
-    sim.run()
-    assert sim.now == pytest.approx(2e-3)

@@ -41,7 +41,8 @@ def test_flag_reached_event():
 
 def test_flag_reached_already_satisfied():
     sim = Simulator()
-    flag = CompletionFlag(sim, initial=5)
+    flag = CompletionFlag(sim)
+    flag.faaw(5)
     ev = flag.reached(3)
     assert ev.triggered
 

@@ -63,6 +63,7 @@ def test_run_rejects_unknown_select_policy():
         ["table", "5", "--nsteps", "0"],
         ["verify", "--seeds", "abc"],
         ["verify", "--cgs", "two"],
+        ["resilience", "--checkpoint-every", "0"],
     ],
 )
 def test_meaningless_counts_exit_2(argv, capsys):
@@ -71,6 +72,30 @@ def test_meaningless_counts_exit_2(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert "expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["resilience", "--extent", "7"], "does not divide"),
+        (["resilience", "--cgs", "2", "--fail-rank", "5", "--fail-step", "1",
+          "--nsteps", "2", "--extent", "8", "--checkpoint-every", "1"],
+         "fail_rank 5 is outside [0, 2)"),
+        (["resilience", "--cgs", "2", "--fail-rank", "1", "--fail-step", "50",
+          "--nsteps", "2", "--extent", "8"], "fail_at_step 50 is past nsteps 2"),
+        (["run", "--problem", "64x64x512", "--cgs", "1"], "needs at least 2 CGs"),
+        (["profile", "--problem", "64x64x512", "--cgs", "1"], "needs at least 2 CGs"),
+        (["trace", "--problem", "64x64x512", "--cgs", "1"], "needs at least 2 CGs"),
+    ],
+    ids=["extent", "fail-rank", "fail-step", "run-cgs", "profile-cgs", "trace-cgs"],
+)
+def test_inputs_argparse_cannot_check_exit_2(argv, cause, capsys):
+    """Inputs that only the model can judge are rejected before any
+    simulated step, with exit 2 and the cause, not a traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert cause in captured.err
+    assert captured.out == ""
 
 
 def test_run_rejects_unknown_problem():

@@ -8,7 +8,6 @@ from repro.core.datawarehouse import DataWarehouse
 from repro.core.grid import Grid
 from repro.core.schedulers.lifecycle import LifecycleEvent, TaskState
 from repro.core.varlabel import VarLabel
-from repro.telemetry import MetricsRegistry
 from repro.verify import CATALOG, ScheduleValidator, VerificationError, Violation
 
 
@@ -79,17 +78,6 @@ def test_report_counts_per_invariant():
     assert report["num_violations"] == 3
     assert report["per_invariant"] == {"unknown-task": 3}
     assert len(report["violations"]) == 3
-
-
-def test_violations_increment_telemetry_counters():
-    registry = MetricsRegistry()
-    v = ScheduleValidator(telemetry=registry)
-    rv = v.subscriber_for(0, _empty_graph(), costs=None)
-    rv(LifecycleEvent("step-begin", None, None, 0.0, {"tasks": [], "step": 0}))
-    ghost = types.SimpleNamespace(dt_id=7, name="g", patch=None)
-    rv(LifecycleEvent("transition", ghost, TaskState.READY, 0.0, {}))
-    assert registry.counter("verify.violations").value == 1
-    assert registry.counter("verify.violations.unknown-task").value == 1
 
 
 # ---------------------------------------------------------------- flag audit
