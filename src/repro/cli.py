@@ -349,6 +349,7 @@ def _cmd_resilience(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Differential verification: invariants + bit-identical physics."""
+    from repro.core.grid import Grid
     from repro.verify import (
         DEFAULT_LAYOUT,
         DEFAULT_MODES,
@@ -372,6 +373,11 @@ def _cmd_verify(args) -> int:
             f"{'x'.join(map(str, DEFAULT_LAYOUT))} patch layout, e.g. 8x8x8",
             file=sys.stderr,
         )
+        return 2
+    try:
+        Grid(extent=extent, layout=DEFAULT_LAYOUT).check_ranks(args.cgs)
+    except ValueError as exc:
+        print(f"repro verify: {exc}", file=sys.stderr)
         return 2
 
     report = run_differential(

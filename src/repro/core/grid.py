@@ -120,6 +120,14 @@ class Grid:
         px, py, pz = self.layout
         return px * py * pz
 
+    def check_ranks(self, num_ranks: int) -> None:
+        """Raise ``ValueError`` unless every one of ``num_ranks`` ranks can own a patch."""
+        if num_ranks > self.num_patches:
+            raise ValueError(
+                f"{num_ranks} ranks but only {self.num_patches} patches: the paper "
+                "schedules at least one patch per CG"
+            )
+
     def cell_center(self, cell: tuple[int, int, int]) -> tuple[float, float, float]:
         """Physical coordinates of a cell's centroid."""
         dx = self.spacing

@@ -54,11 +54,7 @@ class LoadBalancer:
         """
         if num_ranks < 1:
             raise ValueError(f"need >= 1 rank, got {num_ranks}")
-        if num_ranks > grid.num_patches:
-            raise ValueError(
-                f"{num_ranks} ranks but only {grid.num_patches} patches: the paper "
-                "schedules at least one patch per CG"
-            )
+        grid.check_ranks(num_ranks)
         patches = grid.patches()
         if self.strategy == "roundrobin":
             return {p.patch_id: i % num_ranks for i, p in enumerate(patches)}

@@ -75,6 +75,7 @@ class ResilientRunner:
             raise ValueError(f"nsteps must be >= 1, got {nsteps}")
         if num_ranks < 1:
             raise ValueError(f"need >= 1 rank, got {num_ranks}")
+        grid.check_ranks(num_ranks)
         config = config or FaultConfig()
         if config.fail_rank is not None and not 0 <= config.fail_rank < num_ranks:
             raise ValueError(

@@ -3,8 +3,8 @@
 Models the Sunway proprietary network at the level the paper's evaluation
 depends on: per-message cost ``software overhead + latency + bytes /
 bandwidth`` charged once both sides of a point-to-point transfer have
-posted, FIFO matching per ``(source, dest, tag)`` channel, eager-protocol
-send completion for small messages, and tree-shaped collectives.
+posted, FIFO matching per ``(source, dest, tag)``, eager-protocol send
+completion for small messages, and tree-shaped collectives.
 
 Fault model
 -----------
@@ -63,18 +63,15 @@ class FabricConfig:
         return hops * (self.sw_overhead + self.latency + nbytes / self.bandwidth)
 
 
-class _Channel:
-    """FIFO matching queue for one (source, dest, tag) triple.
-
-    ``sends`` holds ``(request, payload)`` pairs (request ``None`` for a
-    self-message delivered through memory); ``recvs`` holds requests.
-    """
-
-    __slots__ = ("sends", "recvs")
-
-    def __init__(self) -> None:
-        self.sends: collections.deque[tuple[SendRequest | None, object]] = collections.deque()
-        self.recvs: collections.deque[RecvRequest] = collections.deque()
+def _pop(table: dict, key: tuple):
+    """Pop the oldest entry under ``key`` (``None`` if none); drop an emptied key."""
+    fifo = table.get(key)
+    if fifo is None:
+        return None
+    entry = fifo.popleft()
+    if not fifo:
+        del table[key]
+    return entry
 
 
 class Fabric:
@@ -82,7 +79,10 @@ class Fabric:
 
     Ranks interact through their :class:`~repro.simmpi.comm.Comm`; the
     fabric performs matching, charges costs, and fires request events at
-    the right simulated times.
+    the right simulated times.  Matching is FIFO per ``(source, dest,
+    tag)``, and its state lives only while an operation is unmatched: a
+    match pops the oldest waiting counterpart and deletes an emptied key,
+    so the fabric holds O(operations in flight), not O(messages sent).
     """
 
     #: Fallback retransmission parameters when faults are injected but no
@@ -104,9 +104,12 @@ class Fabric:
         self.sim = sim
         self.num_ranks = num_ranks
         self.config = config or FabricConfig()
-        self._channels: dict[tuple[int, int, int], _Channel] = {}
+        #: Unmatched sends ``(request, or None if to self, payload)`` and receives.
+        self._sends: dict[tuple[int, int, int], collections.deque] = {}
+        self._recvs: dict[tuple[int, int, int], collections.deque] = {}
         self._collectives: dict[tuple[str, int], list] = {}
-        self._finished_collectives: set[tuple[str, int]] = set()
+        #: Completed epochs per kind; ranks post epochs in order, so they complete in order.
+        self._epochs_done = {"allreduce": 0, "barrier": 0}
         self.messages_sent = 0
         self.bytes_sent = 0
         #: Receives whose completion was scheduled, per destination rank —
@@ -132,23 +135,17 @@ class Fabric:
         return sum(self.retries_by_rank)
 
     # -- point to point -------------------------------------------------------
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} out of range [0, {self.num_ranks})")
-
-    def _channel(self, source: int, dest: int, tag: int) -> _Channel:
-        key = (source, dest, tag)
-        chan = self._channels.get(key)
-        if chan is None:
-            chan = self._channels[key] = _Channel()
-        return chan
+    def _check_rank(self, *ranks: int) -> None:
+        for rank in ranks:
+            if not 0 <= rank < self.num_ranks:
+                raise ValueError(f"rank {rank} out of range [0, {self.num_ranks})")
 
     def post_send(
         self, source: int, dest: int, tag: int, nbytes: int, payload: object = None
     ) -> SendRequest:
         """Register a non-blocking send; returns its request."""
-        self._check_rank(source)
-        self._check_rank(dest)
+        if not (0 <= source < self.num_ranks and 0 <= dest < self.num_ranks):
+            self._check_rank(source, dest)
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
         req = SendRequest(self.sim, dest, tag, nbytes, source=source)
@@ -159,11 +156,12 @@ class Fabric:
             req.succeed(None, delay=0.0)
             self._deliver_local(source, dest, tag, payload)
             return req
-        chan = self._channel(source, dest, tag)
-        if chan.recvs:
-            self._match(req, payload, chan.recvs.popleft())
+        key = (source, dest, tag)
+        recv = _pop(self._recvs, key)
+        if recv is not None:
+            self._match(req, payload, recv)
         else:
-            chan.sends.append((req, payload))
+            self._sends.setdefault(key, collections.deque()).append((req, payload))
             if nbytes <= self.config.eager_threshold:
                 # Eager protocol: the send buffer is copied out immediately.
                 req.succeed(None, delay=self.config.sw_overhead)
@@ -171,26 +169,28 @@ class Fabric:
 
     def post_recv(self, source: int, dest: int, tag: int) -> RecvRequest:
         """Register a non-blocking receive; returns its request."""
-        self._check_rank(source)
-        self._check_rank(dest)
+        if not (0 <= source < self.num_ranks and 0 <= dest < self.num_ranks):
+            self._check_rank(source, dest)
         req = RecvRequest(self.sim, source, tag)
-        chan = self._channel(source, dest, tag)
-        if not chan.sends:
-            chan.recvs.append(req)
+        key = (source, dest, tag)
+        sent = _pop(self._sends, key)
+        if sent is None:
+            self._recvs.setdefault(key, collections.deque()).append(req)
         elif source == dest:
-            req.succeed(chan.sends.popleft()[1], delay=0.0)
+            req.succeed(sent[1], delay=0.0)
             self.recvs_completed[dest] += 1
         else:
-            self._match(*chan.sends.popleft(), req)
+            self._match(*sent, req)
         return req
 
     def _deliver_local(self, source: int, dest: int, tag: int, payload: object) -> None:
-        chan = self._channel(source, dest, tag)
-        if chan.recvs:
-            chan.recvs.popleft().succeed(payload, delay=0.0)
+        key = (source, dest, tag)
+        recv = _pop(self._recvs, key)
+        if recv is not None:
+            recv.succeed(payload, delay=0.0)
             self.recvs_completed[dest] += 1
         else:
-            chan.sends.append((None, payload))
+            self._sends.setdefault(key, collections.deque()).append((None, payload))
 
     def _match(self, send_req: SendRequest, payload: object, recv_req: RecvRequest) -> None:
         # Transfer runs once both sides are posted (match happens "now").
@@ -271,12 +271,12 @@ class Fabric:
         """
         req = CollectiveRequest(self.sim, "iallreduce", epoch)
         key = ("allreduce", epoch)
-        if key in self._finished_collectives:
+        if epoch < self._epochs_done["allreduce"]:
             raise RuntimeError(f"allreduce epoch {epoch} already completed (over-posted)")
         entries = self._collectives.setdefault(key, [])
         entries.append((rank, value, op, req))
         if len(entries) == self.num_ranks:
-            self._finished_collectives.add(key)
+            self._epochs_done["allreduce"] += 1
             entries.sort(key=lambda e: e[0])
             acc = entries[0][1]
             the_op = entries[0][2]
@@ -292,12 +292,12 @@ class Fabric:
         """Register one rank's arrival at barrier ``epoch``."""
         req = CollectiveRequest(self.sim, "ibarrier", epoch)
         key = ("barrier", epoch)
-        if key in self._finished_collectives:
+        if epoch < self._epochs_done["barrier"]:
             raise RuntimeError(f"barrier epoch {epoch} already completed (over-posted)")
         entries = self._collectives.setdefault(key, [])
         entries.append(req)
         if len(entries) == self.num_ranks:
-            self._finished_collectives.add(key)
+            self._epochs_done["barrier"] += 1
             delay = self.config.allreduce_time(self.num_ranks, nbytes=0)
             for r in entries:
                 r.succeed(None, delay=delay)

@@ -228,6 +228,9 @@ def run_differential(
     ``case_hook(controller)`` is applied to every matrix controller (the
     self-tests use it to sabotage runs); the reference run stays clean.
     """
+    from repro.core.grid import Grid
+
+    Grid(extent=extent, layout=layout).check_ranks(num_ranks)
     say = log if log is not None else (lambda msg: None)
     problem = {
         "extent": list(extent),

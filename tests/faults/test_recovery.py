@@ -182,6 +182,13 @@ def test_failure_that_can_never_fire_is_rejected(fail_rank, fail_at_step, match)
         )
 
 
+def test_more_ranks_than_patches_is_rejected_up_front():
+    """Every rank needs a patch; the runner refuses before any step rather
+    than failing in the load balancer mid-run."""
+    with pytest.raises(ValueError, match="5 ranks but only 4 patches"):
+        ResilientRunner(BurgersProblem, GRID, nsteps=4, dt=1e-3, num_ranks=5)
+
+
 def test_deterministic_reports(tmp_path):
     """Two identical resilient runs produce identical reports."""
     dt = BurgersProblem(GRID).stable_dt()

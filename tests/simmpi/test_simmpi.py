@@ -4,6 +4,9 @@ import operator
 
 import pytest
 
+from repro.burgers import BurgersProblem
+from repro.core.controller import SimulationController
+from repro.core.grid import Grid
 from repro.des import Simulator
 from repro.simmpi import Fabric, FabricConfig, Comm
 
@@ -89,6 +92,17 @@ def test_fifo_matching_per_channel():
     r2 = c1.irecv(source=0, tag=3)
     sim.run()
     assert (r1.value, r2.value) == ("first", "second")
+
+
+def test_receives_posted_first_match_in_fifo_order_and_free_the_key():
+    sim, fabric, (c0, c1) = make_world(2)
+    r1 = c1.irecv(source=0, tag=5)
+    r2 = c1.irecv(source=0, tag=5)
+    c0.isend(dest=1, tag=5, nbytes=8, payload="first")
+    c0.isend(dest=1, tag=5, nbytes=8, payload="second")
+    sim.run()
+    assert (r1.value, r2.value) == ("first", "second")
+    assert fabric._sends == {} and fabric._recvs == {}
 
 
 def test_tags_demultiplex():
@@ -254,6 +268,26 @@ def test_allreduce_overposting_rejected():
         fabric.post_allreduce(0, epoch=0, value=1.0, op=operator.add)
 
 
+@pytest.mark.parametrize("kind", ["allreduce", "barrier"])
+def test_overposting_any_completed_epoch_rejected(kind):
+    """Every completed epoch refuses a late post; the next one stays open."""
+    sim, fabric, comms = make_world(2)
+    if kind == "allreduce":
+        def post(rank, epoch):
+            return fabric.post_allreduce(rank, epoch, 1.0, operator.add)
+    else:
+        post = fabric.post_barrier
+    for epoch in range(3):
+        for rank in range(2):
+            post(rank, epoch)
+    for epoch in range(3):
+        with pytest.raises(RuntimeError, match=f"{kind} epoch {epoch} already completed"):
+            post(1, epoch)
+    post(0, 3)
+    post(1, 3)
+    sim.run()
+
+
 def test_barrier_releases_all_at_once():
     sim, fabric, comms = make_world(3)
     times = []
@@ -283,3 +317,31 @@ def test_concurrent_sends_from_one_rank_run_in_parallel():
     sim.run()
     assert r1.complete and r2.complete
     assert sim.now == pytest.approx(1e-3)
+
+
+# -- held matching state ----------------------------------------------------------
+
+def _held_entries(fabric):
+    """Keys in every table or set the fabric keeps."""
+    return sum(len(v) for v in vars(fabric).values() if isinstance(v, (dict, set)))
+
+
+def _model_run(nsteps):
+    grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
+    prob = BurgersProblem(grid)
+    ctl = SimulationController(grid, prob.tasks(), prob.init_tasks(), num_ranks=4, real=False)
+    ctl.run(nsteps=nsteps, dt=prob.stable_dt())
+    return ctl.fabric
+
+
+def test_matching_state_does_not_grow_with_steps():
+    """Matched operations leave nothing behind: after 3 or 12 steps the
+    fabric holds only the final step's sends, addressed to a step that
+    never runs."""
+    short, long = _model_run(3), _model_run(12)
+    per_step = (long.messages_sent - short.messages_sent) // 9
+    assert per_step > 0
+    assert _held_entries(short) == _held_entries(long)
+    for fabric in (short, long):
+        assert fabric._recvs == {} and fabric._collectives == {}
+        assert sum(map(len, fabric._sends.values())) == per_step

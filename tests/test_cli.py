@@ -86,8 +86,12 @@ def test_meaningless_counts_exit_2(argv, capsys):
         (["run", "--problem", "64x64x512", "--cgs", "1"], "needs at least 2 CGs"),
         (["profile", "--problem", "64x64x512", "--cgs", "1"], "needs at least 2 CGs"),
         (["trace", "--problem", "64x64x512", "--cgs", "1"], "needs at least 2 CGs"),
+        (["resilience", "--nsteps", "3", "--fail-rank", "-1", "--cgs", "64", "--extent", "8"],
+         "64 ranks but only 4 patches"),
+        (["verify", "--cgs", "100"], "100 ranks but only 16 patches"),
     ],
-    ids=["extent", "fail-rank", "fail-step", "run-cgs", "profile-cgs", "trace-cgs"],
+    ids=["extent", "fail-rank", "fail-step", "run-cgs", "profile-cgs", "trace-cgs",
+         "resilience-ranks-past-patches", "verify-ranks-past-patches"],
 )
 def test_inputs_argparse_cannot_check_exit_2(argv, cause, capsys):
     """Inputs that only the model can judge are rejected before any

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from repro.verify import (
     ScheduleValidator,
@@ -51,6 +52,11 @@ def test_small_matrix_passes_and_writes_report(tmp_path):
     assert report["bundles"] == []
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk["passed"] is True
+
+
+def test_more_ranks_than_patches_is_rejected():
+    with pytest.raises(ValueError, match="17 ranks but only 16 patches"):
+        run_differential(num_ranks=17)
 
 
 def test_sabotaged_case_yields_minimized_bundle(tmp_path):
