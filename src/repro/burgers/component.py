@@ -74,6 +74,8 @@ class BurgersProblem:
         self.u_label = VarLabel("u")
         self.norm_label = VarLabel("uNorm", vartype="reduction")
         self._exp = exp_function(self.fast_exp)
+        #: Largest ``dt`` forward Euler is stable at on this grid.
+        self.max_dt = self.stable_dt(safety=1.0)
 
     # ------------------------------------------------------------- actions
     def _initialize(self, ctx: TaskContext) -> None:
@@ -94,6 +96,11 @@ class BurgersProblem:
             )
 
     def _advance(self, ctx: TaskContext) -> None:
+        if ctx.dt > self.max_dt:
+            raise ValueError(
+                f"dt={ctx.dt!r} exceeds the forward-Euler stability bound "
+                f"stable_dt(safety=1.0)={self.max_dt!r} of this grid"
+            )
         u_old = ctx.old_dw.get(self.u_label, ctx.patch)
         u_new = ctx.new_dw.allocate_and_put(self.u_label, ctx.patch, ghosts=1)
         if self.kernel_impl == "numpy":

@@ -65,10 +65,11 @@ class RunResult:
     #: ``r``'s simulated time at the end of step ``s`` (index 0 = barrier
     #: release).  The telemetry ledger clips trace spans to these windows.
     rank_step_ends: list[list[float]] | None = None
-    #: Per-rank cumulative counter copies at the same boundaries:
-    #: ``rank_step_stats[r][s]`` is ``vars(rank r's stats)`` at the end of
-    #: step ``s``.  The ledger's per-step values are their deltas.
-    #: ``mpi_retries`` is folded in after the last step (see
+    #: Per-rank cumulative counter copies at the same boundaries, taken
+    #: in traced runs only (``None`` otherwise): ``rank_step_stats[r][s]``
+    #: is ``vars(rank r's stats)`` at the end of step ``s``.  The ledger's
+    #: per-step values are their deltas.  ``mpi_retries`` is folded in
+    #: after the last step (see
     #: :meth:`SimulationController.fold_mpi_retries`), so no copy has it.
     rank_step_stats: list[list[dict]] | None = None
     #: DES events this ``run()`` processed (init graph included), counted
@@ -328,7 +329,10 @@ class SimulationController:
         start_time = [0.0] * R
         end_time = [0.0] * R
         step_end: list[list[float]] = [[0.0] * (nsteps + 1) for _ in range(R)]
-        step_stats: list[list[dict]] = [[{}] * (nsteps + 1) for _ in range(R)]
+        # counter copies feed only the telemetry ledger, which needs spans
+        step_stats: list[list[dict]] | None = (
+            [[{}] * (nsteps + 1) for _ in range(R)] if self.trace.enabled else None
+        )
         final_dws: list[DataWarehouse | None] = [None] * R
 
         def driver(rank: int):
@@ -349,7 +353,8 @@ class SimulationController:
             stats = self.schedulers[rank].stats
             start_time[rank] = sim.now
             step_end[rank][0] = sim.now
-            step_stats[rank][0] = dict(vars(stats))
+            if step_stats is not None:
+                step_stats[rank][0] = dict(vars(stats))
             old = dw0
             for s in range(1, nsteps + 1):
                 new = DataWarehouse(s, rank)
@@ -366,7 +371,8 @@ class SimulationController:
                     bootstrap=(s == 1),
                 )
                 step_end[rank][s] = sim.now
-                step_stats[rank][s] = dict(vars(stats))
+                if step_stats is not None:
+                    step_stats[rank][s] = dict(vars(stats))
                 old = new
             end_time[rank] = sim.now
             final_dws[rank] = old
@@ -382,11 +388,11 @@ class SimulationController:
         t_end = max(end_time)
         total = t_end - t_start
         steps = []
-        prev = [max(step_end[r][0] for r in range(R))]
+        prev = max(step_end[r][0] for r in range(R))
         for s in range(1, nsteps + 1):
             cur = max(step_end[r][s] for r in range(R))
-            steps.append(cur - prev[0])
-            prev[0] = cur
+            steps.append(cur - prev)
+            prev = cur
 
         self.fold_mpi_retries()
         merged = SchedulerStats()

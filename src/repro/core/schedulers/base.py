@@ -4,9 +4,10 @@
 (:class:`~repro.core.schedulers.scheduler.SunwayScheduler` and
 :class:`~repro.core.schedulers.unified.UnifiedHostScheduler`): it owns
 the construction-time wiring — cost model, selection key,
-fault/resilience hooks, and the task-lifecycle event bus with its
-stats/trace/retry subscribers.  Concrete schedulers add where kernels
-run and the per-timestep orchestration; see ``docs/ARCHITECTURE.md``.
+fault/resilience hooks, the tracer, and the task-lifecycle event bus
+with its stats fold and optional validator.  Concrete schedulers add
+where kernels run and the per-timestep orchestration; see
+``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-from repro.core.schedulers.lifecycle import (
-    RetryGovernor,
-    StatsSubscriber,
-    TaskLifecycle,
-    TaskState,
-    TraceSubscriber,
-)
+from repro.core.schedulers.lifecycle import StatsSubscriber, TaskLifecycle, TaskState
 from repro.core.schedulers.selection import select_key
 from repro.core.task import TaskContext, TaskKind
 from repro.core.trace import Tracer
@@ -327,7 +322,7 @@ class SchedulerCore:
         self.mode = mode
         self.real = real
         self.trace = trace if trace is not None else Tracer(enabled=False)
-        #: Whether MPE charges record spans (read once: hot path).
+        #: Whether spans are recorded (read once: hot path).
         self._tracing = self.trace.enabled
         self.stats = SchedulerStats()
         #: Recovery intervals put on the timeline (watchdog aborts, MPE
@@ -348,16 +343,9 @@ class SchedulerCore:
         #: ``ReadinessTracker.pop`` key for step 3(b)ii "select a ready
         #: offloadable task" — see :mod:`repro.core.schedulers.selection`.
         self.select_key = select_key(select_policy, graph, rank)
-        #: The task-lifecycle event bus; stats, tracing and the retry
-        #: governor observe the run through it (never hand-threaded).
-        #: Inert observers are not subscribed at all — a disabled tracer
-        #: or absent resilience policy must not tax every event.
+        #: The task-lifecycle event bus: the stats fold always sees every
+        #: event; the validator, when given, is its only subscriber.
         self.lifecycle = TaskLifecycle(StatsSubscriber(self.stats), clock=sim)
-        self.retry_governor = RetryGovernor(resilience)
-        if self.trace.enabled:
-            self.lifecycle.subscribe(TraceSubscriber(self.trace, rank))
-        if resilience is not None:
-            self.lifecycle.subscribe(self.retry_governor)
         #: Optional :class:`~repro.telemetry.metrics.MetricsRegistry` for
         #: the samples no counter holds (queue depths, kernel durations,
         #: the DMA get/put split); counters come from :attr:`stats`.

@@ -7,24 +7,21 @@ Every scheduler drives its tasks through one explicit state machine::
                   |                      v
                   +------ retry ------ failed ---- fallback --> running
 
-and announces each move as a :class:`LifecycleEvent`.  Cross-cutting
-concerns *subscribe* to the stream instead of being hand-threaded
-through the scheduling loop:
+and announces each move.  :class:`StatsSubscriber` folds every
+transition and named event (``msg-sent``, ``local-copy``, ``scrubbed``,
+``idle`` …) into :class:`~repro.core.schedulers.base.SchedulerStats`
+counters: it is the one place that maps runtime happenings to counters,
+and it is always on.  The telemetry ledger and the registry counters
+are derived from those counters afterwards (per-step copies in
+``RunResult.rank_step_stats`` for traced runs), never from a second
+mapping.
 
-* :class:`StatsSubscriber` folds events into
-  :class:`~repro.core.schedulers.base.SchedulerStats` counters;
-* :class:`TraceSubscriber` forwards span-carrying events to the
-  :class:`~repro.core.trace.Tracer`;
-* :class:`RetryGovernor` — the ``repro.faults`` resilience hook — counts
-  ``FAILED`` transitions per task and answers whether the policy allows
-  another re-offload or demands the MPE fallback.
-
-Besides transitions, schedulers emit *named* events (``msg-sent``,
-``local-copy``, ``scrubbed``, ``idle`` …) for work that is real but not
-a task state change; the mapping to counters lives in one place,
-:class:`StatsSubscriber`.  The telemetry ledger and the registry
-counters are derived from those counters afterwards (per-step copies in
-``RunResult.rank_step_stats``), never from a second mapping.  See
+Optional observers — the :class:`~repro.verify.ScheduleValidator` and
+test recorders — *subscribe* and receive each move as a
+:class:`LifecycleEvent`; with nobody subscribed no event is built.
+Instruments with one producer are not on the bus: spans are recorded
+on the :class:`~repro.core.trace.Tracer` where they happen, and the
+offload engine counts the failures its retry verdicts need.  See
 ``docs/ARCHITECTURE.md`` for the layer diagram.
 """
 
@@ -81,11 +78,9 @@ class IllegalTransition(RuntimeError):
 class LifecycleEvent:
     """One announcement: a state transition or a named runtime event.
 
-    ``info`` carries free-form details; two keys have layer-wide meaning:
-    ``span=(lane, name, t0, t1)`` asks the trace subscriber to record a
-    busy interval, and counter-specific keys (``nbytes``, ``seconds``,
-    ``n``, ``retry``, ``cause``, ``backend``, ``dma``) drive the stats
-    mapping.
+    ``info`` carries free-form details; its counter-specific keys
+    (``nbytes``, ``seconds``, ``n``, ``retry``, ``cause``, ``backend``,
+    ``dma``) drive the stats mapping.
     """
 
     __slots__ = ("kind", "dt", "state", "t", "info")
@@ -110,9 +105,10 @@ class TaskLifecycle:
     held apart from the subscribers and called first, with no
     :class:`LifecycleEvent` built for it.  ``clock`` is anything with a
     ``.now`` attribute (normally the DES simulator).  The subscriber loop
-    is inlined into :meth:`transition` and :meth:`emit`, and skipped when
-    nobody subscribed — this sits inside the hottest scheduler path, and
-    every event fires tens of thousands of times per run.
+    is inlined into :meth:`begin_step`, :meth:`transition` and
+    :meth:`emit`, and skipped when nobody subscribed — this sits inside
+    the hottest scheduler path, and every event fires tens of thousands
+    of times per run.
     """
 
     def __init__(self, stats: StatsSubscriber, clock):
@@ -137,11 +133,12 @@ class TaskLifecycle:
         tasks = list(tasks)
         self._state = {dt.dt_id: TaskState.PENDING for dt in tasks}
         self.step = step
-        ev = LifecycleEvent(
-            "step-begin", None, None, self._clock.now, {"tasks": tasks, "step": step}
-        )
-        for fn in self._subs:
-            fn(ev)
+        if self._subs:
+            ev = LifecycleEvent(
+                "step-begin", None, None, self._clock.now, {"tasks": tasks, "step": step}
+            )
+            for fn in self._subs:
+                fn(ev)
 
     def state_counts(self) -> dict[str, int]:
         """How many of this step's tasks are in each state (non-zero only)."""
@@ -280,44 +277,3 @@ _EVENT_FOLDS: dict[str, _t.Callable[[object, dict], None]] = {
     "kernel-timeout": _fold_kernel_timeout,
     "kernel-retry": _fold_kernel_retry,
 }
-
-
-class TraceSubscriber:
-    """Records every span-carrying event on the execution tracer."""
-
-    def __init__(self, trace, rank: int):
-        self.trace = trace
-        self.rank = rank
-
-    def __call__(self, ev: LifecycleEvent) -> None:
-        span = ev.info.get("span")
-        if span is not None:
-            lane, name, t0, t1 = span
-            self.trace.record(self.rank, lane, name, t0, t1)
-
-
-class RetryGovernor:
-    """Resilience-policy arbiter fed by FAILED transitions.
-
-    Subscribes to the lifecycle stream, counts how often each task has
-    failed this timestep (timeouts and DMA errors alike), and decides —
-    per :class:`~repro.faults.policies.ResiliencePolicy` — whether the
-    offload engine may retry or must fall back to the MPE.
-    """
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.failures: dict[int, int] = {}
-
-    def __call__(self, ev: LifecycleEvent) -> None:
-        if ev.kind == "step-begin":
-            self.failures.clear()
-        elif ev.kind == "transition" and ev.state is TaskState.FAILED:
-            self.failures[ev.dt.dt_id] = self.failures.get(ev.dt.dt_id, 0) + 1
-
-    def should_retry(self, dt) -> bool:
-        """Whether the policy grants this task another offload attempt."""
-        return (
-            self.policy is not None
-            and self.failures.get(dt.dt_id, 0) <= self.policy.max_offload_retries
-        )

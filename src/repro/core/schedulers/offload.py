@@ -3,8 +3,11 @@
 Tracks every kernel offloaded to a CPE group as a :class:`Flight`
 (step 3b of the paper's scheduler), retires completed flights, arms the
 completion-timeout watchdog when kernels can hang, and runs the
-re-offload / MPE-fallback recovery ladder under the
-:class:`~repro.core.schedulers.lifecycle.RetryGovernor`'s verdicts.
+re-offload / MPE-fallback recovery ladder: the engine counts each
+task's failed attempts this timestep and re-offloads while the
+resilience policy's ``max_offload_retries`` allows.  It records its own
+spans (kernels, interference debt, stragglers, watchdog aborts, sync
+spins) on the tracer when tracing is on.
 
 :class:`InterferenceModel` is the memory-interference debt model: MPE
 and CPEs share one memory controller, so MPE bulk traffic overlapped
@@ -82,6 +85,9 @@ class OffloadEngine:
         #: Tasks whose useful flops were already counted (retries and
         #: fallbacks must not double-count).
         self.flops_counted: set[int] = set()
+        #: Failed offload attempts per task this timestep (timeouts and
+        #: DMA errors alike), for :meth:`should_retry`.
+        self.failures: dict[int, int] = {}
         self.interference = sched.interference_model
 
     def count_flops(self, dt: DetailedTask) -> None:
@@ -92,6 +98,16 @@ class OffloadEngine:
             self.sched.lifecycle.emit(
                 "flops", dt, n=self.sched.costs.kernel_flops(dt.task, dt.patch)
             )
+
+    def fail(self, dt: DetailedTask, cause: str) -> None:
+        """Move ``dt`` to FAILED and count the attempt against its retries."""
+        self.sched.lifecycle.transition(dt, TaskState.FAILED, cause=cause)
+        self.failures[dt.dt_id] = self.failures.get(dt.dt_id, 0) + 1
+
+    def should_retry(self, dt: DetailedTask) -> bool:
+        """Whether the policy grants this task another offload attempt."""
+        policy = self.sched.policy
+        return policy is not None and self.failures.get(dt.dt_id, 0) <= policy.max_offload_retries
 
     # ------------------------------------------------------------ launch
     def launch(self, nxt: DetailedTask, group: int) -> None:
@@ -124,13 +140,9 @@ class OffloadEngine:
             reg.inc("dma.get.bytes", volume.get_bytes)
             reg.inc("dma.put.bytes", volume.put_bytes)
             reg.inc("dma.descriptors", volume.descriptors)
-        sched.lifecycle.transition(
-            nxt,
-            TaskState.RUNNING,
-            backend="cpe",
-            dma=volume.total_bytes,
-            span=("cpe", nxt.name, t_launch, t_launch + handle.duration),
-        )
+        sched.lifecycle.transition(nxt, TaskState.RUNNING, backend="cpe", dma=volume.total_bytes)
+        if sched._tracing:
+            sched.trace.record(sched.rank, "cpe", nxt.name, t_launch, t_launch + handle.duration)
         self.count_flops(nxt)
 
     # ------------------------------------------------------------ retire
@@ -159,7 +171,7 @@ class OffloadEngine:
                 self.interference.overlap_busy = 0.0
                 if sched.policy is None:
                     raise fl.handle.error
-                sched.lifecycle.transition(done_dt, TaskState.FAILED, cause="error")
+                self.fail(done_dt, "error")
                 yield from self.requeue_or_fallback(done_dt)
                 progressed = True
                 continue
@@ -170,21 +182,20 @@ class OffloadEngine:
                 # stretched the kernel (see InterferenceModel)
                 t0 = sim.now
                 yield debt
-                sched.lifecycle.emit(
-                    "interference",
-                    done_dt,
-                    span=("cpe", f"interference:{done_dt.name}", t0, sim.now),
-                )
+                if sched._tracing:
+                    sched.trace.record(
+                        sched.rank, "cpe", f"interference:{done_dt.name}", t0, sim.now
+                    )
             if (
                 sched.policy is not None
                 and fl.handle.duration > sched.policy.straggler_factor * fl.expected
             ):
                 sched.recovery_spans += 1
-                sched.lifecycle.emit(
-                    "straggler",
-                    done_dt,
-                    span=("cpe", f"straggler:{done_dt.name}", fl.t_launch, sim.now),
-                )
+                sched.lifecycle.emit("straggler", done_dt)
+                if sched._tracing:
+                    sched.trace.record(
+                        sched.rank, "cpe", f"straggler:{done_dt.name}", fl.t_launch, sim.now
+                    )
             sched.finish_task(self.st, self.comm, done_dt)
             progressed = True
         return progressed
@@ -206,12 +217,11 @@ class OffloadEngine:
                 self.interference.kernel_inflight = False
             self.interference.overlap_busy = 0.0
             sched.recovery_spans += 1
-            sched.lifecycle.transition(
-                fl.dt,
-                TaskState.FAILED,
-                cause="timeout",
-                span=("mpe", f"recover-timeout:{fl.dt.name}", fl.t_launch, sim.now),
-            )
+            self.fail(fl.dt, "timeout")
+            if sched._tracing:
+                sched.trace.record(
+                    sched.rank, "mpe", f"recover-timeout:{fl.dt.name}", fl.t_launch, sim.now
+                )
             yield from self.requeue_or_fallback(fl.dt)
             progressed = True
         return progressed
@@ -220,7 +230,7 @@ class OffloadEngine:
     def requeue_or_fallback(self, dt: DetailedTask) -> _t.Generator:
         """Retry a failed offload (policy permitting) or run on the MPE."""
         sched = self.sched
-        if sched.retry_governor.should_retry(dt):
+        if self.should_retry(dt):
             sched.lifecycle.transition(dt, TaskState.READY, retry=True)
             self.st.tracker.requeue_front(dt)  # retry ahead of fresh work
         else:
@@ -263,12 +273,12 @@ class OffloadEngine:
             if not fl.handle.done:
                 # flag never came: watchdog fired
                 sched.athread.abort(group)
-                sched.lifecycle.transition(nxt, TaskState.FAILED, cause="timeout")
+                self.fail(nxt, "timeout")
             elif sched.policy is None:
                 raise fl.handle.error
             else:
-                sched.lifecycle.transition(nxt, TaskState.FAILED, cause="error")
-            if not sched.retry_governor.should_retry(nxt):
+                self.fail(nxt, "error")
+            if not self.should_retry(nxt):
                 break  # retries exhausted: execute on the MPE instead
             h2 = sched.athread.spawn(
                 duration=fl.duration,
@@ -291,9 +301,9 @@ class OffloadEngine:
                 fl.duration,
             )
         self.interference.clear()
-        sched.lifecycle.emit(
-            "spin", nxt, seconds=sim.now - t0, span=("spin", nxt.name, t0, sim.now)
-        )
+        sched.lifecycle.emit("spin", nxt, seconds=sim.now - t0)
+        if sched._tracing:
+            sched.trace.record(sched.rank, "spin", nxt.name, t0, sim.now)
         if clean:
             sched.finish_task(self.st, self.comm, nxt)
         else:

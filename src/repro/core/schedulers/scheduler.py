@@ -9,13 +9,14 @@ MPE and interleaving MPI tests, ghost copies, unpacks and reductions (3b-3d).
 This module is only the *orchestrator*; the machinery lives in layered
 engines (see ``docs/ARCHITECTURE.md`` for the full picture):
 
-* :mod:`~repro.core.schedulers.lifecycle` — the task state machine and
-  event bus that stats, tracing and resilience subscribe to;
+* :mod:`~repro.core.schedulers.lifecycle` — the task state machine,
+  its always-on stats fold, and the event bus the validator observes;
 * :mod:`~repro.core.schedulers.commengine` — recv posting, ghost
   pack/send/unpack, local copies, reductions, scrub accounting;
 * :mod:`~repro.core.schedulers.offload` — CPE flight tracking, the
-  watchdog/retry/MPE-fallback recovery ladder, and the
-  memory-interference debt model of Sec. VII-C;
+  watchdog/retry/MPE-fallback recovery ladder with its per-task failure
+  counts, the memory-interference debt model of Sec. VII-C, and the
+  spans of all of these;
 * :mod:`~repro.core.schedulers.selection` — ready-queue ordering
   policies (``fifo`` / ``most_messages``).
 

@@ -33,6 +33,10 @@ class Span:
         return self.t1 - self.t0
 
 
+def _time_order(s: Span) -> tuple[float, float]:
+    return (s.t0, s.t1)
+
+
 def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Union of possibly-overlapping intervals, sorted."""
     out: list[tuple[float, float]] = []
@@ -42,6 +46,11 @@ def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, f
         else:
             out.append((lo, hi))
     return out
+
+
+def busy_intervals(spans) -> list[tuple[float, float]]:
+    """Merged busy intervals of a span list."""
+    return merge_intervals([(s.t0, s.t1) for s in spans])
 
 
 def clip_intervals(
@@ -87,18 +96,28 @@ class Tracer:
             for s in self.spans
             if s.rank == rank and (lane is None or s.lane == lane)
         ]
-        return sorted(out, key=lambda s: (s.t0, s.t1))
+        return sorted(out, key=_time_order)
+
+    def by_lane(self) -> dict[tuple[int, str], list[Span]]:
+        """Every span grouped by ``(rank, lane)`` in one pass over the list,
+        each group time-ordered exactly as :meth:`spans_for` orders it."""
+        groups: dict[tuple[int, str], list[Span]] = {}
+        for s in self.spans:
+            groups.setdefault((s.rank, s.lane), []).append(s)
+        for group in groups.values():
+            group.sort(key=_time_order)
+        return groups
 
     def busy_time(self, rank: int, lane: str) -> float:
         """Total (union) busy seconds on one lane."""
-        merged = merge_intervals([(s.t0, s.t1) for s in self.spans_for(rank, lane)])
-        return sum(hi - lo for lo, hi in merged)
+        return sum(hi - lo for lo, hi in busy_intervals(self.spans_for(rank, lane)))
 
     def overlap_time(self, rank: int, lane_a: str = "mpe", lane_b: str = "cpe") -> float:
         """Seconds during which *both* lanes were busy — the paper's overlap."""
-        a = merge_intervals([(s.t0, s.t1) for s in self.spans_for(rank, lane_a)])
-        b = merge_intervals([(s.t0, s.t1) for s in self.spans_for(rank, lane_b)])
-        return intersect_total(a, b)
+        return intersect_total(
+            busy_intervals(self.spans_for(rank, lane_a)),
+            busy_intervals(self.spans_for(rank, lane_b)),
+        )
 
     def summarize(self, rank: int | None = None) -> dict[tuple[str, str], dict]:
         """Aggregate spans by ``(activity, lane)``: count, total, mean.

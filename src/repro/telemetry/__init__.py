@@ -14,9 +14,10 @@ not just inside the test suite.  This package is that answer:
   comm-wait, metric deltas) with a provenance manifest.  Every count in
   it is derived from
   :class:`~repro.core.schedulers.base.SchedulerStats` — per-step deltas
-  of ``RunResult.rank_step_stats`` and the run's totals — so the
-  lifecycle's :class:`~repro.core.schedulers.lifecycle.StatsSubscriber`
-  stays the one place that turns runtime events into counters;
+  of ``RunResult.rank_step_stats``, which traced runs alone keep, and
+  the run's totals — so the lifecycle's
+  :class:`~repro.core.schedulers.lifecycle.StatsSubscriber` stays the
+  one place that turns runtime events into counters;
 * :mod:`repro.telemetry.analyzer` — folds :class:`~repro.core.trace.
   Tracer` spans and the ledger into per-rank time accounting
   (kernel / pack / unpack / MPI-wait / idle) and a per-timestep

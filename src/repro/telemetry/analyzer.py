@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.trace import Tracer
+from repro.core.trace import Tracer, busy_intervals, intersect_total
 from repro.harness.reportfmt import pct, render_table, seconds
 from repro.telemetry.ledger import RunLedger
 
@@ -198,7 +198,7 @@ def analyze(result, ledger: RunLedger | None = None) -> RunAnalysis:
     ``result`` must come from a run with tracing enabled; without spans
     every busy column reads zero and only wall/wait survive.
     """
-    trace: Tracer = result.trace
+    lanes = result.trace.by_lane()
     boundaries = result.rank_step_ends
     breakdowns: list[RankBreakdown] = []
     for r in range(result.num_ranks):
@@ -206,11 +206,13 @@ def analyze(result, ledger: RunLedger | None = None) -> RunAnalysis:
             wall = boundaries[r][-1] - boundaries[r][0]
         else:
             wall = result.total_time
+        mpe = lanes.get((r, "mpe"), ())
+        cpe = lanes.get((r, "cpe"), ())
         categories: dict[str, float] = {}
-        for s in trace.spans_for(r, "mpe"):
+        for s in mpe:
             cat = categorize(s.name)
             categories[cat] = categories.get(cat, 0.0) + s.duration
-        cpe_kernel = sum(s.duration for s in trace.spans_for(r, "cpe"))
+        cpe_kernel = sum(s.duration for s in cpe)
         stats = result.rank_stats[r]
         breakdowns.append(
             RankBreakdown(
@@ -218,7 +220,7 @@ def analyze(result, ledger: RunLedger | None = None) -> RunAnalysis:
                 wall=wall,
                 cpe_kernel=cpe_kernel,
                 categories=categories,
-                overlap=trace.overlap_time(r),
+                overlap=intersect_total(busy_intervals(mpe), busy_intervals(cpe)),
                 event_wait=stats.idle_wait,
                 spin_wait=stats.spin_wait,
             )

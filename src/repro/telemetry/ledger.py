@@ -21,7 +21,7 @@ import json
 import pathlib
 import subprocess
 
-from repro.core.trace import clip_intervals, intersect_total, merge_intervals
+from repro.core.trace import busy_intervals, clip_intervals, intersect_total
 
 #: Step-line ``totals`` key -> the SchedulerStats field it is a delta of.
 _STEP_TOTAL_FIELDS = {
@@ -191,28 +191,29 @@ def build_ledger(result, registry, manifest: dict) -> RunLedger:
 
     ``result`` is a :class:`~repro.core.controller.RunResult` from a run
     with tracing enabled; its ``rank_step_stats`` give every per-step
-    count.  ``registry`` is the run's
-    :class:`~repro.telemetry.metrics.MetricsRegistry` (or ``None``); the
-    ledger's metrics are its snapshot merged with :func:`run_counters`.
+    count and its ``step_times`` every step's wall time.  ``registry`` is
+    the run's :class:`~repro.telemetry.metrics.MetricsRegistry` (or
+    ``None``); the ledger's metrics are its snapshot merged with
+    :func:`run_counters`.
     """
     ranks = result.num_ranks
     boundaries = result.rank_step_ends
     snaps = result.rank_step_stats
     if boundaries is None or snaps is None:
-        raise ValueError("run has no per-rank step boundaries")
+        raise ValueError(
+            "run was not traced: a ledger needs the per-rank step boundaries "
+            "and counter copies of a run with trace_enabled=True"
+        )
     # Merged busy intervals per rank/lane, clipped per step window below.
-    mpe_merged = []
-    cpe_merged = []
-    for r in range(ranks):
-        mpe_merged.append(merge_intervals([(s.t0, s.t1) for s in result.trace.spans_for(r, "mpe")]))
-        cpe_merged.append(merge_intervals([(s.t0, s.t1) for s in result.trace.spans_for(r, "cpe")]))
+    lanes = result.trace.by_lane()
+    mpe_merged = [busy_intervals(lanes.get((r, "mpe"), ())) for r in range(ranks)]
+    cpe_merged = [busy_intervals(lanes.get((r, "cpe"), ())) for r in range(ranks)]
 
     # Simulation time advances linearly; recover dt from the run result
     # (the manifest's dt takes precedence when recorded).
     t0 = manifest.get("t0", 0.0)
     dt = manifest.get("dt", (result.sim_time - t0) / result.nsteps if result.nsteps else 0.0)
     steps: list[LedgerStep] = []
-    prev_global = max(boundaries[r][0] for r in range(ranks))
     for s in range(1, result.nsteps + 1):
         mpe_busy, cpe_busy, overlap, comm_wait = [], [], [], []
         totals = dict.fromkeys(_STEP_TOTAL_FIELDS, 0)
@@ -230,11 +231,10 @@ def build_ledger(result, registry, manifest: dict) -> RunLedger:
             )
             for key, field in _STEP_TOTAL_FIELDS.items():
                 totals[key] += after[field] - before[field]
-        cur_global = max(boundaries[r][s] for r in range(ranks))
         steps.append(
             LedgerStep(
                 step=s,
-                wall=cur_global - prev_global,
+                wall=result.step_times[s - 1],
                 sim_time=t0 + s * dt,
                 mpe_busy=mpe_busy,
                 cpe_busy=cpe_busy,
@@ -243,7 +243,6 @@ def build_ledger(result, registry, manifest: dict) -> RunLedger:
                 totals=totals,
             )
         )
-        prev_global = cur_global
     metrics = registry.snapshot() if registry is not None else {}
     for name, value in run_counters(result).items():
         metrics[name] = {"kind": "counter", "value": value}

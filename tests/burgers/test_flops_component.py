@@ -143,6 +143,20 @@ def test_stable_dt_is_stable_and_positive():
     assert prob.stable_dt(safety=0.25) == pytest.approx(dt / 2)
 
 
+def test_unstable_dt_is_rejected():
+    """A dt past the forward-Euler bound is refused, not run: 50x
+    ``stable_dt()`` used to advance silently into a blow-up."""
+    from repro.core.controller import SimulationController
+
+    grid = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
+    prob = BurgersProblem(grid)
+    ctl = SimulationController(
+        grid, prob.tasks(), prob.init_tasks(), num_ranks=2, mode="async", real=True
+    )
+    with pytest.raises(ValueError, match=r"dt=.*stable_dt\(safety=1\.0\)="):
+        ctl.run(nsteps=2, dt=50 * prob.stable_dt())
+
+
 def test_kernel_impls_produce_identical_runs():
     """Full runs through the controller with each kernel implementation
     give bitwise-identical fields (the Algorithm 1 == Algorithm 2 claim

@@ -333,6 +333,26 @@ def test_stats_counters_independent_of_subscribers(mode):
     assert stats(False) == stats(True)
 
 
+def test_only_optional_observers_subscribe():
+    """Spans and retry counts have their own routes: a traced run under a
+    resilience policy puts nobody on the lifecycle bus, and a validator
+    is each timestep scheduler's one subscriber."""
+    from repro.faults import ResiliencePolicy
+    from repro.verify import ScheduleValidator
+
+    def controller(validator=None):
+        grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
+        prob = BurgersProblem(grid)
+        return SimulationController(
+            grid, prob.tasks(), prob.init_tasks(), num_ranks=2, real=False,
+            trace_enabled=True, resilience=ResiliencePolicy(), validator=validator,
+        )
+
+    assert all(not s.lifecycle._subs for s in controller().schedulers)
+    validated = controller(ScheduleValidator())
+    assert all(len(s.lifecycle._subs) == 1 for s in validated.schedulers)
+
+
 def test_release_below_zero_raises():
     """Over-releasing a task is a task-graph bug and must not pass silently."""
     tracker, _ = _tracker(1)

@@ -122,6 +122,7 @@ def _tiny_run(telemetry=None):
         num_ranks=2,
         mode="async",
         real=True,
+        trace_enabled=True,
         telemetry=telemetry,
     )
     return controller.run(nsteps=3, dt=problem.stable_dt())
@@ -137,6 +138,7 @@ def test_telemetry_never_perturbs_the_schedule():
     assert observed.total_time == plain.total_time  # bit-identical, no approx
     assert observed.step_times == plain.step_times
     assert observed.rank_step_ends == plain.rank_step_ends
+    assert plain.rank_step_stats is not None  # traced runs keep the copies
     assert observed.rank_step_stats == plain.rank_step_stats
     for dw_a, dw_b in zip(plain.final_dws, observed.final_dws):
         for va, vb in zip(dw_a.grid_variables(), dw_b.grid_variables()):

@@ -84,3 +84,21 @@ def test_build_ledger_requires_step_boundaries(bundle):
     res = dataclasses.replace(bundle.result, rank_step_ends=None)
     with pytest.raises(ValueError, match="step boundaries"):
         build_ledger(res, bundle.telemetry, {})
+
+
+def test_untraced_run_keeps_no_counter_copies():
+    """Only a ledger reads the per-step counter copies, and a ledger needs
+    spans: an untraced run makes none, and building its ledger says why."""
+    from repro.burgers import BurgersProblem
+    from repro.core.controller import SimulationController
+    from repro.core.grid import Grid
+
+    grid = Grid(extent=(8, 8, 16), layout=(2, 2, 1))
+    prob = BurgersProblem(grid)
+    res = SimulationController(
+        grid, prob.tasks(), prob.init_tasks(), num_ranks=2, real=False
+    ).run(nsteps=2, dt=prob.stable_dt())
+    assert res.rank_step_stats is None
+    assert res.rank_step_ends is not None
+    with pytest.raises(ValueError, match="not traced"):
+        build_ledger(res, None, {})
