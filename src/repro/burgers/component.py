@@ -25,11 +25,33 @@ from repro.burgers.flops import BURGERS_KERNEL_COST
 from repro.burgers.phi import NU
 from repro.core.grid import Grid
 from repro.core.task import Task, TaskContext, TaskKind
+from repro.core.variables import CCVariable
 from repro.core.varlabel import VarLabel
 from repro.sunway.fastmath import exp_function
 
 #: Kernel implementations selectable for real-numerics runs.
 KERNEL_IMPLS = ("numpy", "cell_loop", "simd")
+
+
+#: Largest ``uNorm`` a healthy run can reach.  phi is a convex combination
+#: of 0.1, 0.5 and 1, so the exact solution has ``|u| <= 1``, and a step
+#: within ``stable_dt(safety=1.0)`` mixes its neighbours convexly; twice
+#: that bound is past any rounding, so only a blow-up crosses it.
+NORM_BOUND = 2.0
+
+
+class NumericalInstability(ArithmeticError):
+    """The ``uNorm`` reduction of a timestep is non-finite or above
+    :data:`NORM_BOUND`: the solution blew up, and the run stops there
+    instead of carrying NaNs or garbage forward."""
+
+    def __init__(self, step: int, value: float):
+        super().__init__(
+            f"uNorm {value!r} at step {step} is non-finite or above the "
+            f"bound {NORM_BOUND} of this problem (|u| <= 1 for the exact solution)"
+        )
+        self.step = step
+        self.value = value
 
 
 def max_keep_nan(a: float, b: float) -> float:
@@ -76,23 +98,34 @@ class BurgersProblem:
         self._exp = exp_function(self.fast_exp)
         #: Largest ``dt`` forward Euler is stable at on this grid.
         self.max_dt = self.stable_dt(safety=1.0)
+        #: Boundary ghost faces per (patch, ghost width): see _boundary_slabs.
+        self._bc_slabs: dict[tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------- actions
     def _initialize(self, ctx: TaskContext) -> None:
         var = ctx.new_dw.allocate_and_put(self.u_label, ctx.patch, ghosts=1)
-        var.interior[...] = exact_on_region(
-            self.grid, ctx.patch.region, t=ctx.time, nu=self.nu, exp=self._exp
+        exact_on_region(
+            self.grid, ctx.patch.region, t=ctx.time, nu=self.nu, exp=self._exp, out=var.interior
         )
+
+    def _boundary_slabs(self, var: CCVariable) -> tuple:
+        """``(region, slices)`` of each physical-boundary ghost face of
+        ``var``'s patch, compiled once per patch and ghost width."""
+        key = (var.patch.patch_id, var.ghosts)
+        faces = self._bc_slabs.get(key)
+        if faces is None:
+            regions = self.grid.boundary_ghost_regions(var.patch)
+            faces = self._bc_slabs[key] = tuple((r, var.local_slices(r)) for r in regions)
+        return faces
 
     def _apply_bcs(self, ctx: TaskContext) -> None:
         """MPE part of timeAdvance: exact-solution BCs on physical faces,
-        written into the *old* DW's ghost cells at the current time."""
+        written straight into the *old* DW's ghost cells at the current
+        time."""
         var = ctx.old_dw.get(self.u_label, ctx.patch)
-        for axis, side in self.grid.boundary_faces(ctx.patch):
-            region = ctx.patch.ghost_region(axis, side, width=1)
-            var.set_region(
-                region,
-                exact_on_region(self.grid, region, t=ctx.time, nu=self.nu, exp=self._exp),
+        for region, slices in self._boundary_slabs(var):
+            exact_on_region(
+                self.grid, region, t=ctx.time, nu=self.nu, exp=self._exp, out=var.data[slices]
             )
 
     def _advance(self, ctx: TaskContext) -> None:
@@ -117,8 +150,14 @@ class BurgersProblem:
             )
 
     def _norm(self, ctx: TaskContext) -> float:
+        """A patch's share of ``uNorm``.  The reduction is the max of these
+        shares, so it is non-finite or above :data:`NORM_BOUND` exactly
+        when one of them is: the check raises at the first such patch."""
         var = ctx.new_dw.get(self.u_label, ctx.patch)
-        return float(np.abs(var.interior).max())
+        value = float(np.abs(var.interior).max())
+        if not value <= NORM_BOUND:
+            raise NumericalInstability(ctx.step, value)
+        return value
 
     # ------------------------------------------------------------- task wiring
     def init_tasks(self) -> list[Task]:

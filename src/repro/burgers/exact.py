@@ -23,20 +23,30 @@ def exact_solution(x, y, z, t: float = 0.0, nu: float = NU, exp=ieee_exp):
 
 
 def exact_on_region(
-    grid: Grid, region: Region, t: float = 0.0, nu: float = NU, exp=ieee_exp
+    grid: Grid,
+    region: Region,
+    t: float = 0.0,
+    nu: float = NU,
+    exp=ieee_exp,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact solution sampled on every cell centre of ``region``.
 
     Returns an array of shape ``region.extent`` (x, y, z axes), built as
     an outer product of the three 1-D phi factors.  Regions may extend
     outside the physical domain (ghost cells): phi is globally defined,
-    which is exactly how the boundary conditions are imposed.
+    which is exactly how the boundary conditions are imposed.  ``out``,
+    if given, receives the values in place (a view of a variable's
+    ghost layer, say) and is returned.
     """
     fx, fy, fz = (
         phi_cells(grid, axis, region.low[axis], region.high[axis], t, nu, exp)
         for axis in range(3)
     )
-    out = np.empty(region.extent, order="F")
+    if out is None:
+        out = np.empty(region.extent, order="F")
+    elif out.shape != region.extent:
+        raise ValueError(f"out shape {out.shape} != region shape {region.extent}")
     np.multiply((fx[:, None] * fy)[:, :, None], fz, out=out)
     return out
 

@@ -3,14 +3,29 @@
 Two numerically identical implementations:
 
 * :func:`apply_kernel` — the production form: vectorized NumPy over the
-  whole patch (the guides' "vectorize the loop" idiom).  The three phi
-  coefficient vectors are slices of the per-step tables of
-  :func:`~repro.burgers.phi.phi_cells`, broadcast over the patch; the
-  stencil runs on contiguous shifted slices of the flattened array and
-  writes into three scratch buffers, not one temporary per operation.
+  whole patch (the guides' "vectorize the loop" idiom).  The stencil
+  runs on contiguous shifted slices of the flattened array and writes
+  into three scratch buffers, not one temporary per operation.  The phi
+  coefficients come from the per-step tables of
+  :func:`~repro.burgers.phi.phi_cells`: x and y as one memoized z-plane
+  each, z as one factor per plane, so every multiply has a contiguous
+  inner operand instead of a 3-D broadcast.
 * :func:`apply_kernel_cell_loop` — a literal per-cell transliteration of
   Algorithm 1, kept as the executable specification; tests assert the
   production kernel matches it bitwise on small patches.
+
+Exact scaling.  Algorithm 1 divides by the spacings ``dx`` and ``dx*dx``.
+When a divisor ``d`` is a power of two with a finite reciprocal, ``1/d``
+is itself a double, exactly, so ``x / d`` and ``x * (1/d)`` are the same
+real number.  IEEE 754 rounds each operation's exact result once, so the
+two round to the same double for every finite ``x``, subnormal inputs,
+underflowing and overflowing results included.  :func:`apply_kernel`
+therefore multiplies by that reciprocal where it exists (the benchmark
+grids' 1/64 and 1/128, and their squares; see :func:`divider`) and
+divides otherwise (1/12, 0.1); a multiply pass costs about a third of a
+division pass.  This is a rewrite of the same arithmetic, not an
+approximation: the kernels still agree bitwise, and tests check the
+identity on random bit patterns.
 
 Sign convention: the paper's pseudo-code builds the advection terms with
 backward differences as ``u_dudx = phi * (u[i-1] - u[i]) / dx`` (i.e.
@@ -24,12 +39,50 @@ pseudo-code's outer minus is a typesetting slip.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from repro.burgers.phi import phi, phi_cells, NU
 from repro.core.grid import Grid
 from repro.core.variables import CCVariable
 from repro.sunway.fastmath import ieee_exp
+
+
+def divider(d: float) -> tuple[np.ufunc, float]:
+    """The ufunc and operand that divide an array by ``d`` exactly as
+    ``x / d`` does: ``(np.multiply, 1.0 / d)`` when ``d`` is a power of
+    two with a finite reciprocal (see the module docstring), else
+    ``(np.divide, d)``."""
+    mantissa, _ = math.frexp(d)
+    if abs(mantissa) == 0.5:
+        inv = 1.0 / d
+        if math.isfinite(inv):
+            return np.multiply, inv
+    return np.divide, d
+
+
+@functools.lru_cache(maxsize=8)
+def _dividers(grid: Grid) -> tuple[tuple[np.ufunc, float], ...]:
+    """:func:`divider` of dx, dy, dz, dx*dx, dy*dy and dz*dz."""
+    spacing = grid.spacing
+    return tuple(divider(d) for d in (*spacing, *(d * d for d in spacing)))
+
+
+@functools.lru_cache(maxsize=64)
+def _phi_plane(grid: Grid, axis: int, lo: int, hi: int, reps: int, t, nu, exp) -> np.ndarray:
+    """phi over ``[lo, hi)`` of axis 0 or 1, spread over one ghosted z-plane.
+
+    The x factors are tiled ``reps`` (= plane rows) times, each y factor
+    is repeated ``reps`` (= row length) times, so the plane multiplies a
+    ``(z, plane)`` view of the stencil buffers as one contiguous operand.
+    Read-only; one plane is ``gx * gy`` doubles.
+    """
+    f = phi_cells(grid, axis, lo, hi, t, nu, exp)
+    plane = np.tile(f, reps) if axis == 0 else np.repeat(f, reps)
+    plane.flags.writeable = False
+    return plane
 
 
 def apply_kernel(
@@ -50,7 +103,6 @@ def apply_kernel(
     if u_old.ghosts < 1:
         raise ValueError("Burgers kernel needs one layer of ghost cells")
     patch = u_old.patch
-    dx, dy, dz = grid.spacing
     g = u_old.ghosts
     # Work on the flattened z-planes that hold interior cells.  In the
     # Fortran-ordered ghosted array a shift of the flat index by 1, sy or
@@ -59,50 +111,52 @@ def apply_kernel(
     # dropped at the end; interior cells see exactly Algorithm 1's operands.
     gx, gy, gz = u_old.data.shape
     sy, sz = gx, gx * gy
+    nz = gz - 2 * g
     flat = u_old.data.reshape(-1, order="F")
-    n = (gz - 2 * g) * sz
-    planes = (gx, gy, gz - 2 * g)
+    n = nz * sz
 
     def at(shift: int) -> np.ndarray:
         return flat[g * sz + shift : g * sz + shift + n]
 
     c = at(0)
     lo, hi = patch.low, patch.high
-    px = phi_cells(grid, 0, lo[0] - g, hi[0] + g, t, nu, exp)[:, None, None]
-    py = phi_cells(grid, 1, lo[1] - g, hi[1] + g, t, nu, exp)[None, :, None]
-    pz = phi_cells(grid, 2, lo[2], hi[2], t, nu, exp)[None, None, :]
+    # phi coefficients as contiguous operands of the (z, plane) views
+    px = _phi_plane(grid, 0, lo[0] - g, hi[0] + g, gy, t, nu, exp)
+    py = _phi_plane(grid, 1, lo[1] - g, hi[1] + g, gx, t, nu, exp)
+    pz = phi_cells(grid, 2, lo[2], hi[2], t, nu, exp)[:, None]
+    (ox, dx), (oy, dy), (oz, dz), (oxx, dxx), (oyy, dyy), (ozz, dzz) = _dividers(grid)
 
     # du = (u_dudx + u_dudy + u_dudz) + nu * (d2udx2 + d2udy2 + d2udz2),
-    # in exactly that order, through three scratch buffers.
-    adv, tmp, work = np.empty(n), np.empty(n), np.empty(n)
-    adv3, tmp3 = adv.reshape(planes, order="F"), tmp.reshape(planes, order="F")
+    # each sum in exactly that order, through three scratch buffers: the
+    # diffusion first, while the buffer holding -2*c is still needed.
+    dif, adv, tmp = np.empty(n), np.empty(n), np.empty(n)
+    m2c = adv
+    np.multiply(c, -2.0, out=m2c)
+    np.add(m2c, at(-1), out=dif)
+    dif += at(1)
+    oxx(dif, dxx, out=dif)
+    for shift, op, d in ((sy, oyy, dyy), (sz, ozz, dzz)):
+        np.add(m2c, at(-shift), out=tmp)
+        tmp += at(shift)
+        op(tmp, d, out=tmp)
+        dif += tmp
+    dif *= nu
+    adv2, tmp2 = adv.reshape(nz, sz), tmp.reshape(nz, sz)
     np.subtract(at(-1), c, out=adv)
-    adv3 *= px
-    adv /= dx
+    adv2 *= px
+    ox(adv, dx, out=adv)
     np.subtract(at(-sy), c, out=tmp)
-    tmp3 *= py
-    tmp /= dy
+    tmp2 *= py
+    oy(tmp, dy, out=tmp)
     adv += tmp
     np.subtract(at(-sz), c, out=tmp)
-    tmp3 *= pz
-    tmp /= dz
+    tmp2 *= pz
+    oz(tmp, dz, out=tmp)
     adv += tmp
-    dif = tmp
-    np.multiply(c, -2.0, out=dif)
-    dif += at(-1)
-    dif += at(1)
-    dif /= dx * dx
-    for shift, d in ((sy, dy), (sz, dz)):
-        np.multiply(c, -2.0, out=work)
-        work += at(-shift)
-        work += at(shift)
-        work /= d * d
-        dif += work
-    dif *= nu
     adv += dif
     adv *= dt
-    np.add(c, adv, out=work)
-    u_new.interior[...] = work.reshape(planes, order="F")[g:-g, g:-g, :]
+    np.add(c, adv, out=dif)
+    u_new.interior[...] = dif.reshape((gx, gy, nz), order="F")[g:-g, g:-g, :]
 
 
 def apply_kernel_cell_loop(

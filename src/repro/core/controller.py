@@ -34,6 +34,11 @@ from repro.simmpi.comm import Comm
 from repro.simmpi.network import Fabric, FabricConfig
 from repro.sunway.athread import AthreadRuntime
 
+#: DES events a run may process per unit of graph work
+#: (:meth:`SimulationController.event_budget`): about 20 times what the
+#: benchmark workloads use.
+EVENTS_PER_UNIT = 100
+
 
 @dataclasses.dataclass
 class RunResult:
@@ -298,6 +303,21 @@ class SimulationController:
             "simulation ran out of events with ranks unfinished: " + "; ".join(stuck)
         )
 
+    def event_budget(self, nsteps: int) -> int:
+        """The runaway guard :meth:`run` hands :meth:`Simulator.run`.
+
+        :data:`EVENTS_PER_UNIT` events per unit of graph work: each
+        detailed task, message and copy of the timestep graph once per
+        step, plus the initialization graph's once.  Runs of the
+        benchmark workloads, faulted ones included, stay near 5 events
+        per unit, so only a process stuck in a loop that never advances
+        the clock reaches the budget, and it raises instead of spinning.
+        """
+        g, init = self.graph, self.init_graph
+        per_step = len(g.detailed_tasks) + len(g.messages) + len(g.copies)
+        once = len(init.detailed_tasks) + len(init.messages) + len(init.copies)
+        return EVENTS_PER_UNIT * (per_step * nsteps + once)
+
     def _forward_static(self, old_dw: DataWarehouse, new_dw: DataWarehouse) -> None:
         """Carry never-recomputed fields across the warehouse swap."""
         wanted = set(self._static_labels)
@@ -380,7 +400,7 @@ class SimulationController:
         procs = [sim.process(driver(r), name=f"rank{r}") for r in range(R)]
         events_before = sim.events_run
         try:
-            sim.run(until=sim.all_of(procs))
+            sim.run(until=sim.all_of(procs), max_events=self.event_budget(nsteps))
         except QueueDrained as exc:
             raise self._deadlock(procs) from exc
 

@@ -11,6 +11,7 @@ scope here (see DESIGN.md).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.core.patch import Patch, Region, FACES
 
@@ -168,6 +169,20 @@ class Grid:
     def boundary_faces(self, patch: Patch) -> list[tuple[int, int]]:
         """Faces of ``patch`` lying on the physical domain boundary."""
         return list(self._boundary_faces[patch.patch_id])
+
+    def boundary_ghost_regions(self, patch: Patch) -> tuple[Region, ...]:
+        """The one-cell ghost slab outside each of :meth:`boundary_faces`,
+        in the same order: where boundary conditions are written."""
+        return self._boundary_ghost_regions[patch.patch_id]
+
+    @functools.cached_property
+    def _boundary_ghost_regions(self) -> tuple[tuple[Region, ...], ...]:
+        # built on first use (real-mode boundary conditions), so model
+        # runs and grid construction never pay for it
+        return tuple(
+            tuple(p.ghost_region(axis, side) for axis, side in faces)
+            for p, faces in zip(self._patches, self._boundary_faces)
+        )
 
     # -- bookkeeping used by the harness ------------------------------------------
     def memory_bytes(self, fields: int = 2, ghosts: int = 1, itemsize: int = 8) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 
+from repro.core.schedulers.commengine import SlabTable
 from repro.core.schedulers.lifecycle import StatsSubscriber, TaskLifecycle, TaskState
 from repro.core.schedulers.selection import select_key
 from repro.core.task import TaskContext, TaskKind
@@ -363,6 +364,12 @@ class SchedulerCore:
     def plan(self) -> RankPlan:
         """This rank's :class:`RankPlan`, built on the first timestep."""
         return RankPlan(self.graph, self.rank, self.costs, self.scrub)
+
+    @functools.cached_property
+    def slabs(self) -> SlabTable:
+        """This rank's :class:`SlabTable`, built on the first real-mode
+        timestep and filled as its slabs are first moved."""
+        return SlabTable()
 
     def _mark_ready(self, dt) -> None:
         """ReadinessTracker ``on_ready`` hook: PENDING → READY."""

@@ -23,6 +23,43 @@ import typing as _t
 from repro.core.schedulers.lifecycle import TaskState
 from repro.core.task import DetailedTask
 from repro.core.taskgraph import CopySpec, MessageSpec
+from repro.core.variables import CCVariable
+
+#: :meth:`SlabTable.slices` ends: a slab's source or destination variable.
+SRC, DST = 0, 1
+
+
+class SlabTable:
+    """One rank's ghost-slab geometry, compiled once.
+
+    Maps each copy, send and receive spec, seen from its source
+    (:data:`SRC`) or destination (:data:`DST`) variable, to the
+    :meth:`~repro.core.variables.CCVariable.local_slices` of the spec's
+    region in that variable's ghosted array.  An entry is compiled,
+    bounds check included, on its first use and read by every later
+    timestep.  Entries are kept per ghost width, so a variable allocated
+    with another width gets its own entry, never another width's
+    slices.  Real-mode schedulers build one table per rank lazily
+    (:attr:`SchedulerCore.slabs`); model mode builds none.
+    """
+
+    def __init__(self) -> None:
+        #: ghost width -> {``id(spec) * 2 + end``: slices}
+        self._by_width: dict[int, dict[int, tuple[slice, slice, slice]]] = {}
+
+    def __len__(self) -> int:
+        return sum(len(table) for table in self._by_width.values())
+
+    def slices(self, spec, end: int, var: CCVariable) -> tuple[slice, slice, slice]:
+        """The slices of ``spec.region`` in ``var`` (its ``end`` variable)."""
+        table = self._by_width.get(var.ghosts)
+        if table is None:
+            table = self._by_width[var.ghosts] = {}
+        key = id(spec) * 2 + end
+        sl = table.get(key)
+        if sl is None:
+            sl = table[key] = var.local_slices(spec.region)
+        return sl
 
 
 class CommEngine:
@@ -37,7 +74,8 @@ class CommEngine:
         #: Where queued items go: :attr:`work` unless the scheduler
         #: drains its own run queue.
         self.push = self.work.append if sink is None else sink
-        #: Ghost slabs whose destination patch has no producer output yet.
+        #: Ghost slabs whose destination patch has no producer output yet:
+        #: ``(spec, packed slab)`` per ``(dw, label, patch)``.
         self.pending_unpacks: dict[tuple[str, str, int], list] = {}
         #: Posted receives not yet harvested: (spec, unpack cost, request).
         self.recv_watch: list[tuple[MessageSpec, float, object]] = []
@@ -122,19 +160,26 @@ class CommEngine:
             self.scrub_counts[key] = left - 1
 
     # ------------------------------------------------------------ effects
+    def _stash(self, spec, payload) -> None:
+        """Hold a packed slab whose destination patch's producer has not
+        run yet; :meth:`flush_stash` writes it when the producer retires."""
+        key = (spec.dw, spec.label.name, spec.to_patch.patch_id)
+        self.pending_unpacks.setdefault(key, []).append((spec, payload))
+
     def apply_copy(self, spec: CopySpec) -> None:
         sched, st = self.sched, self.st
         sched.lifecycle.emit("local-copy", spec.consumer)
         if sched.real:
+            slabs = sched.slabs
             dw = st.dw_for(spec.dw)
-            data = dw.get(spec.label, spec.from_patch).get_region(spec.region)
+            src = dw.get(spec.label, spec.from_patch)
+            src_slices = slabs.slices(spec, SRC, src)
             if dw.exists(spec.label, spec.to_patch):
-                dw.get(spec.label, spec.to_patch).set_region(spec.region, data)
+                # slab to slab, no packed temporary
+                dst = dw.get(spec.label, spec.to_patch)
+                dst.data[slabs.slices(spec, DST, dst)] = src.data[src_slices]
             else:
-                # the destination patch's own producer has not run yet:
-                # stash the slab; flush_stash applies it on completion
-                key = (spec.dw, spec.label.name, spec.to_patch.patch_id)
-                self.pending_unpacks.setdefault(key, []).append((spec.region, data))
+                self._stash(spec, src.get_region(spec.region, src_slices))
         if spec.dw == "old":
             self.consume_old((spec.label.name, spec.from_patch.patch_id))
 
@@ -142,8 +187,8 @@ class CommEngine:
         sched, st = self.sched, self.st
         payload = None
         if sched.real:
-            dw = st.dw_for(src_dw)
-            payload = dw.get(spec.label, spec.from_patch).get_region(spec.region)
+            src = st.dw_for(src_dw).get(spec.label, spec.from_patch)
+            payload = src.get_region(spec.region, sched.slabs.slices(spec, SRC, src))
         req = sched.comm.isend(
             dest=spec.to_rank,
             tag=(st.next_tag_base if next_step else st.tag_base) + spec.tag,
@@ -166,11 +211,10 @@ class CommEngine:
         if sched.real:
             dw = st.dw_for(spec.dw)
             if dw.exists(spec.label, spec.to_patch):
-                dw.get(spec.label, spec.to_patch).set_region(spec.region, payload)
+                dst = dw.get(spec.label, spec.to_patch)
+                dst.set_region(spec.region, payload, sched.slabs.slices(spec, DST, dst))
             else:
-                # producer for this patch has not run yet: stash the slab
-                key = (spec.dw, spec.label.name, spec.to_patch.patch_id)
-                self.pending_unpacks.setdefault(key, []).append((spec.region, payload))
+                self._stash(spec, payload)
         st.tracker.release(spec.consumer.dt_id)
 
     def flush_stash(self, dt: DetailedTask) -> None:
@@ -178,9 +222,12 @@ class CommEngine:
         if not sched.real or dt.patch is None:
             return
         for label in dt.task.computes:
-            key = ("new", label.name, dt.patch.patch_id)
-            for region, payload in self.pending_unpacks.pop(key, ()):
-                self.st.new_dw.get(label, dt.patch).set_region(region, payload)
+            stashed = self.pending_unpacks.pop(("new", label.name, dt.patch.patch_id), None)
+            if stashed:
+                slabs = sched.slabs
+                dst = self.st.new_dw.get(label, dt.patch)
+                for spec, payload in stashed:
+                    dst.set_region(spec.region, payload, slabs.slices(spec, DST, dst))
 
     def apply(self, kind: str, payload) -> None:
         """Apply one charged work item's effects (copy / send / unpack)."""

@@ -9,10 +9,19 @@ vectorization and the DMA chunking geometry of tiles.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.patch import Patch, Region
 from repro.core.varlabel import VarLabel
+
+
+@functools.lru_cache(maxsize=1024)
+def _slices(x0: int, x1: int, y0: int, y1: int, z0: int, z1: int) -> tuple[slice, slice, slice]:
+    """One shared slice tuple per distinct bounds: patches of one extent
+    give most regions equal local slices, and slices are immutable."""
+    return slice(x0, x1), slice(y0, y1), slice(z0, z1)
 
 
 class CCVariable:
@@ -42,7 +51,13 @@ class CCVariable:
         """The global-index region covered by the array, halo included."""
         return self.patch.region.grown(self.ghosts)
 
-    def _local_slices(self, region: Region) -> tuple[slice, slice, slice]:
+    def local_slices(self, region: Region) -> tuple[slice, slice, slice]:
+        """The slices of a global-index region in :attr:`data`, bounds-checked.
+
+        The ghost data path compiles these once per slab
+        (:class:`~repro.core.schedulers.commengine.SlabTable`) and hands
+        them back as ``slices=`` instead of rebuilding them per call.
+        """
         (ox, oy, oz), (lx, ly, lz), (hx, hy, hz) = self._origin, region.low, region.high
         lo = (lx - ox, ly - oy, lz - oz)
         hi = (hx - ox, hy - oy, hz - oz)
@@ -54,25 +69,33 @@ class CCVariable:
                 f"region {region.low}..{region.high} outside ghosted patch "
                 f"{gr.low}..{gr.high} on axis {axis}"
             )
-        return slice(lo[0], hi[0]), slice(lo[1], hi[1]), slice(lo[2], hi[2])
+        return _slices(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
 
     # -- access ----------------------------------------------------------------
     @property
     def interior(self) -> np.ndarray:
         """Writable view of the patch's interior cells (no halo)."""
-        return self.region_view(self.patch.region)
+        g = self.ghosts
+        return self.data[g:-g, g:-g, g:-g] if g else self.data[...]
 
     def region_view(self, region: Region) -> np.ndarray:
         """Writable view of a global-index region (must lie in the array)."""
-        return self.data[self._local_slices(region)]
+        return self.data[self.local_slices(region)]
 
-    def get_region(self, region: Region) -> np.ndarray:
-        """A packed (contiguous) copy of a region — MPI pack."""
-        return np.ascontiguousarray(self.region_view(region))
+    def get_region(self, region: Region, slices=None) -> np.ndarray:
+        """A packed (contiguous) copy of a region — MPI pack.
 
-    def set_region(self, region: Region, values: np.ndarray) -> None:
-        """Write packed data into a region — MPI unpack."""
-        view = self.region_view(region)
+        ``slices``, when given, are the region's :meth:`local_slices`.
+        """
+        view = self.data[slices] if slices is not None else self.region_view(region)
+        return np.ascontiguousarray(view)
+
+    def set_region(self, region: Region, values: np.ndarray, slices=None) -> None:
+        """Write packed data into a region — MPI unpack.
+
+        ``slices``, when given, are the region's :meth:`local_slices`.
+        """
+        view = self.data[slices] if slices is not None else self.region_view(region)
         if values.shape != view.shape:
             raise ValueError(f"unpack shape {values.shape} != region shape {view.shape}")
         view[...] = values

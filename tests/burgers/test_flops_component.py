@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.burgers.component import BurgersProblem, max_keep_nan
+from repro.burgers.component import (
+    NORM_BOUND,
+    BurgersProblem,
+    NumericalInstability,
+    max_keep_nan,
+)
 from repro.burgers.flops import (
     BURGERS_KERNEL_COST,
     EXPS_PER_CELL,
@@ -117,6 +122,29 @@ def test_unorm_reduction_propagates_nan(where, unified):
     res = ctl.run(nsteps=1, dt=prob.stable_dt())
     norms = [dw.get_reduction(prob.norm_label) for dw in res.final_dws]
     assert len(norms) == 2 and all(math.isnan(v) for v in norms)
+
+
+@pytest.mark.parametrize("bad", [10.0, math.nan], ids=["large", "nan"])
+def test_blown_up_unorm_raises_numerical_instability(bad):
+    """A patch whose ``uNorm`` share is NaN or above the bound stops the
+    run at that step with the value, instead of carrying on from it."""
+    grid = Grid(extent=(8, 8, 8), layout=(2, 2, 1))
+    prob = BurgersProblem(grid)
+    init = prob.init_tasks()
+    exact = init[0].action
+
+    def corrupted(ctx):
+        exact(ctx)
+        if ctx.patch.patch_id == 3:
+            ctx.new_dw.get(prob.u_label, ctx.patch).interior[1, 1, 1] = bad
+
+    init[0].action = corrupted
+    ctl = SimulationController(grid, prob.tasks(), init, num_ranks=2)
+    with pytest.raises(NumericalInstability, match="at step 1 ") as caught:
+        ctl.run(nsteps=3, dt=prob.stable_dt())
+    assert caught.value.step == 1
+    value = caught.value.value
+    assert math.isnan(value) if math.isnan(bad) else NORM_BOUND < value < bad
 
 
 def test_max_keep_nan_equals_max_without_nan():

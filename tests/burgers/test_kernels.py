@@ -8,9 +8,10 @@ speed, not results), and the scheme must converge to the exact solution.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.burgers.exact import exact_on_region
-from repro.burgers.kernel import apply_kernel, apply_kernel_cell_loop
+from repro.burgers.kernel import apply_kernel, apply_kernel_cell_loop, divider
 from repro.burgers.kernel_simd import apply_kernel_simd
 from repro.burgers.phi import NU
 from repro.core.grid import Grid
@@ -38,6 +39,72 @@ def test_numpy_matches_cell_loop_bitwise():
     apply_kernel(u_old, a, grid, t=0.0, dt=1e-4)
     apply_kernel_cell_loop(u_old, b, grid, t=0.0, dt=1e-4)
     assert np.array_equal(a.interior, b.interior)
+
+
+@pytest.mark.parametrize("extent", [(16, 16, 16), (12, 12, 12)], ids=["pow2", "twelfths"])
+def test_kernels_agree_on_both_divider_branches(extent):
+    """A 16^3 grid has power-of-two spacings, which the NumPy kernel
+    multiplies by their exact reciprocals; a 12^3 grid's 1/12 keeps the
+    division.  The cell loop and the SIMD kernel divide either way, and
+    all three still agree bitwise, at t > 0 and with the fast exp."""
+    grid = Grid(extent=extent)
+    patch = grid.patch((0, 0, 0))
+    ops = {divider(d)[0] for d in (*grid.spacing, *(d * d for d in grid.spacing))}
+    assert ops == ({np.multiply} if extent[0] == 16 else {np.divide})
+    t, exp = 0.01, fast_exp
+    u_old = CCVariable(U, patch, ghosts=1)
+    u_old.data[...] = exact_on_region(grid, patch.region.grown(1), t=t, exp=exp)
+    a, b, c = (CCVariable(U, patch, ghosts=1) for _ in range(3))
+    apply_kernel(u_old, a, grid, t=t, dt=1e-4, exp=exp)
+    apply_kernel_cell_loop(u_old, b, grid, t=t, dt=1e-4, exp=exp)
+    apply_kernel_simd(u_old, c, grid, t=t, dt=1e-4, exp=exp, tile_shape=(4, 4, 4))
+    assert not np.array_equal(a.interior, u_old.interior)
+    assert np.array_equal(a.interior, b.interior)
+    assert np.array_equal(a.interior, c.interior)
+
+
+#: Power-of-two spacings: the kernel's own (1/64, 1/128 and their
+#: squares), a fine 2^-20, 0.5, both ends of the range whose reciprocal
+#: is finite, and a negative one.
+POW2_SPACINGS = [2.0**k for k in (-6, -7, -12, -14, -20, -1, -1023, 1023)] + [-0.5]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("d", POW2_SPACINGS)
+def test_reciprocal_multiply_matches_division_on_random_bit_patterns(d):
+    """x * (1/d) and x / d round the same real number when d = 2^k, so
+    they agree bit for bit on every finite double, subnormals and values
+    that overflow or underflow included."""
+    rng = np.random.default_rng(7)
+    x = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 200_000, dtype=np.int64)
+    x = x.view(np.float64)
+    tiny = np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.0, -0.0, 1.7e308])
+    x = np.concatenate([x[np.isfinite(x)], tiny])
+    op, operand = divider(d)
+    assert op is np.multiply and operand == 1.0 / d
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.array_equal(_bits(op(x, operand)), _bits(x / d))
+
+
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    k=st.integers(min_value=-1023, max_value=1023),
+)
+def test_exact_scaling_equals_division_property(x, k):
+    d = 2.0**k
+    op, operand = divider(d)
+    with np.errstate(over="ignore", under="ignore"):
+        assert _bits(op(np.float64(x), operand)) == _bits(np.float64(x) / d)
+
+
+@pytest.mark.parametrize("d", [1 / 12, 0.1, 3.0, 2.0**-1074, 0.0])
+def test_divider_keeps_the_division_unless_it_is_exact(d):
+    """Non-powers of two, a power of two whose reciprocal overflows
+    (2^-1074) and zero keep the plain division."""
+    assert divider(d) == (np.divide, d)
 
 
 def test_simd_matches_numpy_bitwise():

@@ -1,16 +1,25 @@
-"""The O(1) ``MPI_Test``: ``CommEngine.harvest_recvs`` rescans its posted
-receives only when the fabric's per-rank completion count moved, and must
-never lose or duplicate a harvest compared with a full rescan."""
+"""The communication engine.
 
+The O(1) ``MPI_Test``: ``CommEngine.harvest_recvs`` rescans its posted
+receives only when the fabric's per-rank completion count moved, and must
+never lose or duplicate a harvest compared with a full rescan.
+
+The ghost data path: slabs are copied in place, packed only to be sent
+or stashed, and their slices are compiled once per rank."""
+
+import collections
 import types
 
 from repro.burgers import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
 from repro.core.schedulers.commengine import CommEngine
+from repro.core.taskgraph import CopySpec
+from repro.core.variables import CCVariable
 from repro.des import Simulator
 from repro.harness import calibration
 from repro.simmpi import Comm, Fabric
+from tests.strategies import build_pipeline, run_workload
 
 
 class _NoScan(list):
@@ -109,3 +118,83 @@ def test_harvest_matches_a_full_rescan_in_a_model_run(monkeypatch):
     assert calls["posted"] > 0
     assert calls["harvested"] == calls["posted"] == res.stats.messages_received
     assert calls["tests"] > calls["harvested"]
+
+
+def _count_data_path(monkeypatch):
+    """Count packs, ``set_region`` calls, slice compiles and stashes."""
+    counts = collections.Counter()
+    in_flush = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            if in_flush and name == "set_region":
+                counts["flushed"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(CCVariable, "get_region", counted("packs", CCVariable.get_region))
+    monkeypatch.setattr(CCVariable, "set_region", counted("set_region", CCVariable.set_region))
+    monkeypatch.setattr(
+        CCVariable, "local_slices", counted("slice_builds", CCVariable.local_slices)
+    )
+    stash, flush = CommEngine._stash, CommEngine.flush_stash
+
+    def counting_stash(self, spec, payload):
+        counts["stashed_copies" if isinstance(spec, CopySpec) else "stashed_unpacks"] += 1
+        stash(self, spec, payload)
+
+    def counting_flush(self, dt):
+        in_flush.append(dt)
+        try:
+            flush(self, dt)
+        finally:
+            in_flush.pop()
+
+    monkeypatch.setattr(CommEngine, "_stash", counting_stash)
+    monkeypatch.setattr(CommEngine, "flush_stash", counting_flush)
+    return counts
+
+
+def test_only_sends_and_stashed_copies_pack(monkeypatch):
+    """A local copy into an existing variable writes slab to slab; only
+    sends and stashed copies pack a temporary.  ``set_region`` runs once
+    per unpack (at once, or when its stash is flushed) and once per
+    stashed copy.  A three-stage pipeline with new-DW ghosts on three
+    ranks stashes both kinds."""
+    counts = _count_data_path(monkeypatch)
+    tasks, init, _labels = build_pipeline(3, [1, 0, 1], with_reduction=False)
+    _fields, res = run_workload(tasks, init, 3, "async", "sfc", 3)
+    assert counts["stashed_copies"] > 0 and counts["stashed_unpacks"] > 0
+    assert res.stats.local_copies > counts["stashed_copies"]
+    assert counts["packs"] == res.stats.messages_sent + counts["stashed_copies"]
+    assert counts["set_region"] == res.stats.messages_received + counts["stashed_copies"]
+    assert counts["flushed"] == counts["stashed_copies"] + counts["stashed_unpacks"]
+
+
+def test_slab_slices_are_compiled_once_per_rank(monkeypatch):
+    """A real Burgers run compiles each slab's slices once per rank and
+    end (source or destination variable) and each boundary ghost face's
+    once per patch; later steps rebuild none.  A model-mode run builds
+    no slab table at all."""
+    counts = _count_data_path(monkeypatch)
+    grid = Grid(extent=(16, 16, 16), layout=(4, 2, 2))
+    prob = BurgersProblem(grid)
+    ctl = SimulationController(grid, prob.tasks(), prob.init_tasks(), num_ranks=3, real=True)
+    assert not any("slabs" in vars(s) for s in ctl.schedulers)  # built by run, lazily
+    res = ctl.run(nsteps=3, dt=prob.stable_dt())
+    graph = ctl.graph
+    assert sum(len(s.slabs) for s in ctl.schedulers) == 2 * (
+        len(graph.copies) + len(graph.messages)
+    )
+    faces = sum(len(grid.boundary_faces(p)) for p in grid.patches())
+    assert counts["slice_builds"] == 2 * (len(graph.copies) + len(graph.messages)) + faces
+    assert counts["packs"] == res.stats.messages_sent
+    assert counts["set_region"] == res.stats.messages_received
+
+    model = SimulationController(
+        grid, prob.tasks(), prob.init_tasks(), num_ranks=3, real=False
+    )
+    model.run(nsteps=3, dt=prob.stable_dt())
+    assert not any("slabs" in vars(s) for s in model.schedulers + model.init_schedulers)

@@ -165,3 +165,28 @@ def test_geometry_is_compiled_once_per_grid(monkeypatch):
     )
     ctl.run(nsteps=2, dt=prob.stable_dt())
     assert len(calls) <= 8 * grid.num_patches
+
+
+def test_zero_delay_loop_hits_the_event_budget():
+    """A process that never advances the clock used to spin forever.
+    The run now stops at its event budget, 100 events per unit of graph
+    work, and names it; a valid run uses a small share of it."""
+    from repro.core.controller import EVENTS_PER_UNIT
+    from repro.core.schedulers.scheduler import SunwayScheduler
+
+    class Spinning(SunwayScheduler):
+        def execute_timestep(self, **_kwargs):
+            while True:
+                yield 0.0
+
+    _, prob, ctl = make_controller(real=False)
+    graph, init = ctl.graph, ctl.init_graph
+    units = len(graph.detailed_tasks) + len(graph.messages) + len(graph.copies)
+    budget = ctl.event_budget(3)
+    assert budget == EVENTS_PER_UNIT * (3 * units + len(init.detailed_tasks))
+    res = ctl.run(nsteps=3, dt=prob.stable_dt())
+    assert 0 < 10 * res.des_events < budget
+
+    _, prob, spinning = make_controller(real=False, scheduler_factory=Spinning)
+    with pytest.raises(RuntimeError, match=f"max_events={spinning.event_budget(2)} "):
+        spinning.run(nsteps=2, dt=prob.stable_dt())

@@ -205,6 +205,9 @@ def test_property_cached_geometry_equals_scratch(g):
             assert g.neighbor(want, axis, side) == nb
         assert g.face_neighbors(want) == [(a, s, nb) for a, s, nb in nbs if nb is not None]
         assert g.boundary_faces(want) == [(a, s) for a, s, nb in nbs if nb is None]
+        assert g.boundary_ghost_regions(want) == tuple(
+            want.ghost_region(a, s) for a, s, nb in nbs if nb is None
+        )
 
 
 def test_patch_list_is_a_copy():
