@@ -288,16 +288,21 @@ class SimulationController:
                 self._folded_retries[r] = sent
 
     def _deadlock(self, procs) -> DeadlockError:
-        """Name the step and task states of every rank that never finished."""
+        """Name the step, task states, awaited receives and in-flight
+        kernels of every rank that never finished."""
         stuck = []
         for r, proc in enumerate(procs):
             if proc.triggered:
                 continue
-            lc = self.schedulers[r].lifecycle
-            where = f"step {lc.step}"
-            if lc.step is None:
-                lc, where = self.init_schedulers[r].lifecycle, "initialization"
-            states = ", ".join(f"{n} {name}" for name, n in lc.state_counts().items())
+            sched = self.schedulers[r]
+            where = f"step {sched.lifecycle.step}"
+            if sched.lifecycle.step is None:
+                sched, where = self.init_schedulers[r], "initialization"
+            counts = sched.lifecycle.state_counts().items()
+            states = ", ".join(f"{n} {name}" for name, n in counts)
+            waits = [w for engine in sched.step_engines for w in engine.awaiting()]
+            if waits:
+                states += f" (awaiting {', '.join(waits)})"
             stuck.append(f"rank {r} {where}: {states}")
         return DeadlockError(
             "simulation ran out of events with ranks unfinished: " + "; ".join(stuck)

@@ -96,6 +96,16 @@ class Grid:
             tuple(tuple(face for face, nb in zip(FACES, row) if nb is None) for row in neighbors),
         )
 
+    def __hash__(self) -> int:
+        # the geometry memos (``lru_cache`` on phi tables and dividers)
+        # hash the grid on every lookup; the dataclass hash would rebuild
+        # the field tuple each time.  Equality stays field-based.
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.extent, self.layout, self.domain_low, self.domain_high))
+
     # -- geometry -------------------------------------------------------------
     @property
     def spacing(self) -> tuple[float, float, float]:

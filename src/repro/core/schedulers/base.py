@@ -4,10 +4,10 @@
 (:class:`~repro.core.schedulers.scheduler.SunwayScheduler` and
 :class:`~repro.core.schedulers.unified.UnifiedHostScheduler`): it owns
 the construction-time wiring — cost model, selection key,
-fault/resilience hooks, the tracer, and the task-lifecycle event bus
-with its stats fold and optional validator.  Concrete schedulers add
-where kernels run and the per-timestep orchestration; see
-``docs/ARCHITECTURE.md``.
+fault/resilience hooks, the tracer, the :class:`SchedulerStats` that
+each producing call site bumps, and the task-lifecycle event bus with
+its optional validator.  Concrete schedulers add where kernels run and
+the per-timestep orchestration; see ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import dataclasses
 import functools
 
 from repro.core.schedulers.commengine import SlabTable
-from repro.core.schedulers.lifecycle import StatsSubscriber, TaskLifecycle, TaskState
+from repro.core.schedulers.lifecycle import TaskLifecycle, TaskState
 from repro.core.schedulers.selection import select_key
 from repro.core.task import TaskContext, TaskKind
 from repro.core.trace import Tracer
@@ -32,7 +32,11 @@ class DeadlockError(RuntimeError):
 
 @dataclasses.dataclass
 class SchedulerStats:
-    """Counters accumulated by one rank's scheduler across a run."""
+    """Counters accumulated by one rank's scheduler across a run.
+
+    Each counter is bumped by the code where the thing it counts
+    happens (``docs/ARCHITECTURE.md`` §2 lists the sites).
+    """
 
     tasks_run: int = 0
     #: CPE launches.  Async mode launches a re-offload again, so it counts
@@ -344,9 +348,12 @@ class SchedulerCore:
         #: ``ReadinessTracker.pop`` key for step 3(b)ii "select a ready
         #: offloadable task" — see :mod:`repro.core.schedulers.selection`.
         self.select_key = select_key(select_policy, graph, rank)
-        #: The task-lifecycle event bus: the stats fold always sees every
-        #: event; the validator, when given, is its only subscriber.
-        self.lifecycle = TaskLifecycle(StatsSubscriber(self.stats), clock=sim)
+        #: The running timestep's engines (comm, then offload if any);
+        #: a :class:`DeadlockError` report lists what they await.
+        self.step_engines: tuple = ()
+        #: The task-lifecycle event bus; the validator, when given, is
+        #: its only subscriber.
+        self.lifecycle = TaskLifecycle(clock=sim)
         #: Optional :class:`~repro.telemetry.metrics.MetricsRegistry` for
         #: the samples no counter holds (queue depths, kernel durations,
         #: the DMA get/put split); counters come from :attr:`stats`.
@@ -406,6 +413,7 @@ class SchedulerCore:
         its dependents, and count its old-DW reads for scrubbing, all
         from the task's :class:`RankPlan` entry."""
         self.lifecycle.retire(dt)
+        self.stats.tasks_run += 1
         st.remaining.discard(dt.dt_id)
         comm.flush_stash(dt)
         work, dependents, old_reads = self.plan.retire[dt.dt_id]

@@ -9,9 +9,10 @@ unified scheduler's worker-pool run queue.  It also posts the step's
 non-blocking receives, watches pending allreduces, and performs the
 data-warehouse effects when an item executes.  The scheduler charges
 the item's time on whichever core runs it and then calls
-:meth:`CommEngine.apply`; all bookkeeping lands on the lifecycle bus
-(``msg-sent`` / ``msg-recv`` / ``local-copy`` / ``reduction`` /
-``scrubbed`` events), never directly on the stats.
+:meth:`CommEngine.apply`.  The engine bumps the scheduler's message,
+byte, copy, reduction, scrub and drain-idle counters where each happens,
+and announces receives, copies and scrubs on the lifecycle bus for the
+schedule validator.
 """
 
 from __future__ import annotations
@@ -142,6 +143,10 @@ class CommEngine:
         self.recv_watch = still
         return harvested
 
+    def awaiting(self) -> list[str]:
+        """The posted receives not yet harvested, for a deadlock report."""
+        return [f"recv from rank {req.source} tag {req.tag}" for _s, _c, req in self.recv_watch]
+
     # ------------------------------------------------------------ scrubbing
     def consume_old(self, key: tuple[str, int]) -> None:
         """One reader of old-DW variable ``key = (label, patch)`` is done;
@@ -155,6 +160,7 @@ class CommEngine:
             label_name, pid = key
             if sched.real and self.st.old_dw is not None:
                 self.st.old_dw.scrub_named(label_name, pid)
+            sched.stats.scrubbed += 1
             sched.lifecycle.emit("scrubbed", label=label_name, patch=pid)
         else:
             self.scrub_counts[key] = left - 1
@@ -168,6 +174,7 @@ class CommEngine:
 
     def apply_copy(self, spec: CopySpec) -> None:
         sched, st = self.sched, self.st
+        sched.stats.local_copies += 1
         sched.lifecycle.emit("local-copy", spec.consumer)
         if sched.real:
             slabs = sched.slabs
@@ -201,13 +208,18 @@ class CommEngine:
             sched._carryover_sends.append(req)
         else:
             self.send_reqs.append(req)
-        sched.lifecycle.emit("msg-sent", nbytes=spec.nbytes)
+        stats = sched.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += spec.nbytes
         if src_dw == "old":
             self.consume_old((spec.label.name, spec.from_patch.patch_id))
 
     def apply_unpack(self, spec: MessageSpec, payload) -> None:
         sched, st = self.sched, self.st
-        sched.lifecycle.emit("msg-recv", spec.consumer, nbytes=spec.nbytes)
+        stats = sched.stats
+        stats.messages_received += 1
+        stats.bytes_received += spec.nbytes
+        sched.lifecycle.emit("msg-recv", spec.consumer)
         if sched.real:
             dw = st.dw_for(spec.dw)
             if dw.exists(spec.label, spec.to_patch):
@@ -272,7 +284,7 @@ class CommEngine:
             st.new_dw.put_reduction(label, req.value)
             yield sched._mpe("reduce-finish", sched.costs.sched.mpi_test, dt)
             sched.finish_task(st, self, dt)
-            sched.lifecycle.emit("reduction")
+            sched.stats.reductions += 1
         return True
 
     # ------------------------------------------------------------ waiting
@@ -289,4 +301,4 @@ class CommEngine:
         if unfinished:
             t0 = sched.sim.now
             yield sched.sim.all_of(unfinished)
-            sched.lifecycle.emit("idle", seconds=sched.sim.now - t0)
+            sched.stats.idle_wait += sched.sim.now - t0

@@ -7,21 +7,17 @@ Every scheduler drives its tasks through one explicit state machine::
                   |                      v
                   +------ retry ------ failed ---- fallback --> running
 
-and announces each move.  :class:`StatsSubscriber` folds every
-transition and named event (``msg-sent``, ``local-copy``, ``scrubbed``,
-``idle`` …) into :class:`~repro.core.schedulers.base.SchedulerStats`
-counters: it is the one place that maps runtime happenings to counters,
-and it is always on.  The telemetry ledger and the registry counters
-are derived from those counters afterwards (per-step copies in
-``RunResult.rank_step_stats`` for traced runs), never from a second
-mapping.
+and announces each move, plus the named events the schedule validator
+checks: ``msg-recv``, ``local-copy`` and ``scrubbed``.
 
 Optional observers — the :class:`~repro.verify.ScheduleValidator` and
-test recorders — *subscribe* and receive each move as a
+test recorders — *subscribe* and receive each announcement as a
 :class:`LifecycleEvent`; with nobody subscribed no event is built.
-Instruments with one producer are not on the bus: spans are recorded
-on the :class:`~repro.core.trace.Tracer` where they happen, and the
-offload engine counts the failures its retry verdicts need.  See
+Instruments are not on the bus: each
+:class:`~repro.core.schedulers.base.SchedulerStats` counter is bumped
+by the code that produces it, spans are recorded on the
+:class:`~repro.core.trace.Tracer` where they happen, and the offload
+engine counts the failures its retry verdicts need.  See
 ``docs/ARCHITECTURE.md`` for the layer diagram.
 """
 
@@ -64,11 +60,8 @@ del _state, _successors
 
 # Aliases for the per-event paths: reading a member through the class
 # goes through ``EnumType.__getattr__``'s slow attribute hook.
-_READY = TaskState.READY
-_RUNNING = TaskState.RUNNING
 _RETIRING = TaskState.RETIRING
 _DONE = TaskState.DONE
-_FAILED = TaskState.FAILED
 
 
 class IllegalTransition(RuntimeError):
@@ -78,9 +71,9 @@ class IllegalTransition(RuntimeError):
 class LifecycleEvent:
     """One announcement: a state transition or a named runtime event.
 
-    ``info`` carries free-form details; its counter-specific keys
-    (``nbytes``, ``seconds``, ``n``, ``retry``, ``cause``, ``backend``,
-    ``dma``) drive the stats mapping.
+    ``info`` carries what the validator reads: a transition's
+    ``backend``, ``cause`` and ``retry``, a step's ``tasks`` and
+    ``step``, a scrubbed variable's ``label`` and ``patch``.
     """
 
     __slots__ = ("kind", "dt", "state", "t", "info")
@@ -101,18 +94,14 @@ class LifecycleEvent:
 class TaskLifecycle:
     """Per-scheduler state machine; reset at every timestep boundary.
 
-    ``stats`` is the :class:`StatsSubscriber` every scheduler has; it is
-    held apart from the subscribers and called first, with no
-    :class:`LifecycleEvent` built for it.  ``clock`` is anything with a
-    ``.now`` attribute (normally the DES simulator).  The subscriber loop
-    is inlined into :meth:`begin_step`, :meth:`transition` and
-    :meth:`emit`, and skipped when nobody subscribed — this sits inside
-    the hottest scheduler path, and every event fires tens of thousands
-    of times per run.
+    ``clock`` is anything with a ``.now`` attribute (normally the DES
+    simulator).  The subscriber loop is inlined into :meth:`begin_step`,
+    :meth:`transition` and :meth:`emit`, and skipped when nobody
+    subscribed — this sits inside the hottest scheduler path, and every
+    event fires tens of thousands of times per run.
     """
 
-    def __init__(self, stats: StatsSubscriber, clock):
-        self._stats = stats
+    def __init__(self, clock):
         self._clock = clock
         self._subs: list[_t.Callable[[LifecycleEvent], None]] = []
         self._state: dict[int, TaskState] = {}
@@ -153,127 +142,20 @@ class TaskLifecycle:
         if state not in cur.successors:
             raise IllegalTransition(f"{dt.name}: illegal transition {cur.name} -> {state.name}")
         self._state[dt.dt_id] = state
-        self._stats.on_transition(state, info)
         if self._subs:
             ev = LifecycleEvent("transition", dt, state, self._clock.now, info)
             for fn in self._subs:
                 fn(ev)
 
-    def retire(self, dt, **info) -> None:
+    def retire(self, dt) -> None:
         """Finish a task: RETIRING (unless already there) then DONE."""
         if self._state.get(dt.dt_id) is not _RETIRING:
             self.transition(dt, _RETIRING)
-        self.transition(dt, _DONE, **info)
+        self.transition(dt, _DONE)
 
     def emit(self, kind: str, dt=None, **info) -> None:
         """Announce a named (non-transition) runtime event."""
-        self._stats.on_event(kind, info)
         if self._subs:
             ev = LifecycleEvent(kind, dt, None, self._clock.now, info)
             for fn in self._subs:
                 fn(ev)
-
-
-class StatsSubscriber:
-    """Folds lifecycle events into ``SchedulerStats`` counters.
-
-    This is the single place mapping runtime happenings to the paper's
-    counters; schedulers and engines never touch the stats object.
-    :class:`TaskLifecycle` calls it directly on every transition and
-    named event, ahead of the subscribers.
-    """
-
-    def __init__(self, stats):
-        self.stats = stats
-
-    def on_transition(self, state: TaskState, info: dict) -> None:
-        """Fold one state transition."""
-        s = self.stats
-        if state is _DONE:
-            s.tasks_run += 1
-        elif state is _RUNNING:
-            backend = info.get("backend")
-            if backend == "cpe":
-                if info.get("retry"):
-                    s.kernel_retries += 1
-                else:
-                    s.kernels_offloaded += 1
-                    s.dma_bytes += info["dma"]
-            elif backend == "mpe":
-                s.kernels_on_mpe += 1
-            elif backend == "mpe_fallback":
-                s.mpe_fallbacks += 1
-                s.kernels_on_mpe += 1
-        elif state is _READY and info.get("retry"):
-            s.kernel_retries += 1
-        elif state is _FAILED and info.get("cause") == "timeout":
-            s.kernel_timeouts += 1
-
-    def on_event(self, kind: str, info: dict) -> None:
-        """Fold one named (non-transition) event; unknown kinds count nothing."""
-        fold = _EVENT_FOLDS.get(kind)
-        if fold is not None:
-            fold(self.stats, info)
-
-
-def _fold_msg_sent(s, info: dict) -> None:
-    s.messages_sent += 1
-    s.bytes_sent += info["nbytes"]
-
-
-def _fold_msg_recv(s, info: dict) -> None:
-    s.messages_received += 1
-    s.bytes_received += info["nbytes"]
-
-
-def _fold_local_copy(s, info: dict) -> None:
-    s.local_copies += 1
-
-
-def _fold_reduction(s, info: dict) -> None:
-    s.reductions += 1
-
-
-def _fold_scrubbed(s, info: dict) -> None:
-    s.scrubbed += 1
-
-
-def _fold_flops(s, info: dict) -> None:
-    s.kernel_flops += info["n"]
-
-
-def _fold_idle(s, info: dict) -> None:
-    s.idle_wait += info["seconds"]
-
-
-def _fold_spin(s, info: dict) -> None:
-    s.spin_wait += info["seconds"]
-
-
-def _fold_straggler(s, info: dict) -> None:
-    s.stragglers_detected += 1
-
-
-def _fold_kernel_timeout(s, info: dict) -> None:
-    s.kernel_timeouts += 1
-
-
-def _fold_kernel_retry(s, info: dict) -> None:
-    s.kernel_retries += 1
-
-
-#: Named event -> the fold applying it to ``SchedulerStats`` (one dict
-#: lookup per event).
-_EVENT_FOLDS: dict[str, _t.Callable[[object, dict], None]] = {
-    "msg-sent": _fold_msg_sent,
-    "msg-recv": _fold_msg_recv,
-    "local-copy": _fold_local_copy,
-    "reduction": _fold_reduction,
-    "scrubbed": _fold_scrubbed,
-    "flops": _fold_flops,
-    "idle": _fold_idle,
-    "spin": _fold_spin,
-    "straggler": _fold_straggler,
-    "kernel-timeout": _fold_kernel_timeout,
-    "kernel-retry": _fold_kernel_retry,
-}

@@ -95,13 +95,13 @@ class OffloadEngine:
         # fault forces it to be re-executed
         if dt.dt_id not in self.flops_counted:
             self.flops_counted.add(dt.dt_id)
-            self.sched.lifecycle.emit(
-                "flops", dt, n=self.sched.costs.kernel_flops(dt.task, dt.patch)
-            )
+            self.sched.stats.kernel_flops += self.sched.costs.kernel_flops(dt.task, dt.patch)
 
     def fail(self, dt: DetailedTask, cause: str) -> None:
         """Move ``dt`` to FAILED and count the attempt against its retries."""
         self.sched.lifecycle.transition(dt, TaskState.FAILED, cause=cause)
+        if cause == "timeout":
+            self.sched.stats.kernel_timeouts += 1
         self.failures[dt.dt_id] = self.failures.get(dt.dt_id, 0) + 1
 
     def should_retry(self, dt: DetailedTask) -> bool:
@@ -140,7 +140,9 @@ class OffloadEngine:
             reg.inc("dma.get.bytes", volume.get_bytes)
             reg.inc("dma.put.bytes", volume.put_bytes)
             reg.inc("dma.descriptors", volume.descriptors)
-        sched.lifecycle.transition(nxt, TaskState.RUNNING, backend="cpe", dma=volume.total_bytes)
+        sched.lifecycle.transition(nxt, TaskState.RUNNING, backend="cpe")
+        sched.stats.kernels_offloaded += 1
+        sched.stats.dma_bytes += volume.total_bytes
         if sched._tracing:
             sched.trace.record(sched.rank, "cpe", nxt.name, t_launch, t_launch + handle.duration)
         self.count_flops(nxt)
@@ -191,7 +193,7 @@ class OffloadEngine:
                 and fl.handle.duration > sched.policy.straggler_factor * fl.expected
             ):
                 sched.recovery_spans += 1
-                sched.lifecycle.emit("straggler", done_dt)
+                sched.stats.stragglers_detected += 1
                 if sched._tracing:
                     sched.trace.record(
                         sched.rank, "cpe", f"straggler:{done_dt.name}", fl.t_launch, sim.now
@@ -232,6 +234,7 @@ class OffloadEngine:
         sched = self.sched
         if self.should_retry(dt):
             sched.lifecycle.transition(dt, TaskState.READY, retry=True)
+            sched.stats.kernel_retries += 1
             self.st.tracker.requeue_front(dt)  # retry ahead of fresh work
         else:
             yield from self.mpe_fallback(dt)
@@ -241,6 +244,8 @@ class OffloadEngine:
         # immune to CPE/DMA faults
         sched = self.sched
         sched.lifecycle.transition(dt, TaskState.RUNNING, backend="mpe_fallback")
+        sched.stats.mpe_fallbacks += 1
+        sched.stats.kernels_on_mpe += 1
         action = sched.kernel_action(self.st, dt)
         if action is not None:
             action()
@@ -255,7 +260,9 @@ class OffloadEngine:
         sched = self.sched
         sim = sched.sim
         t0 = sim.now
-        fl = self.inflight.pop(group)
+        # the flight stays in its slot while the MPE spins, so a
+        # deadlock report still names the kernel
+        fl = self.inflight[group]
         nxt = fl.dt
         while True:
             if sched._watchdog:
@@ -288,7 +295,8 @@ class OffloadEngine:
                 group=group,
             )
             sched.lifecycle.transition(nxt, TaskState.RUNNING, backend="cpe", retry=True)
-            fl = Flight(
+            sched.stats.kernel_retries += 1
+            self.inflight[group] = fl = Flight(
                 h2,
                 nxt,
                 fl.expected,
@@ -300,8 +308,9 @@ class OffloadEngine:
                 sim.now,
                 fl.duration,
             )
+        del self.inflight[group]
         self.interference.clear()
-        sched.lifecycle.emit("spin", nxt, seconds=sim.now - t0)
+        sched.stats.spin_wait += sim.now - t0
         if sched._tracing:
             sched.trace.record(sched.rank, "spin", nxt.name, t0, sim.now)
         if clean:
@@ -322,6 +331,10 @@ class OffloadEngine:
         return None
 
     # ------------------------------------------------------------ waiting
+    def awaiting(self) -> list[str]:
+        """The kernels in flight, per CPE group, for a deadlock report."""
+        return [f"kernel {fl.dt.name} on CPE group {g}" for g, fl in self.inflight.items()]
+
     def wait_events(self) -> list:
         """Completion events of every in-flight kernel."""
         return [fl.handle.event for fl in self.inflight.values()]

@@ -9,8 +9,9 @@ MPE and interleaving MPI tests, ghost copies, unpacks and reductions (3b-3d).
 This module is only the *orchestrator*; the machinery lives in layered
 engines (see ``docs/ARCHITECTURE.md`` for the full picture):
 
-* :mod:`~repro.core.schedulers.lifecycle` — the task state machine,
-  its always-on stats fold, and the event bus the validator observes;
+* :mod:`~repro.core.schedulers.lifecycle` — the task state machine
+  and the event bus the validator observes (counters are bumped where
+  they happen, not on the bus);
 * :mod:`~repro.core.schedulers.commengine` — recv posting, ghost
   pack/send/unpack, local copies, reductions, scrub accounting;
 * :mod:`~repro.core.schedulers.offload` — CPE flight tracking, the
@@ -166,12 +167,13 @@ class SunwayScheduler(SchedulerCore):
             progressed = True
             if not self.offloads:
                 self.lifecycle.transition(nxt, TaskState.RUNNING, backend="mpe")
+                self.stats.kernels_on_mpe += 1
                 action = self.kernel_action(st, nxt)
                 if action is not None:
                     action()
                 yield self._mpe("mpe-kernel", self.costs.mpe_kernel_time(nxt.task, nxt.patch), nxt)
                 # mpe_only counts flops per execution (no offload retry dedup)
-                self.lifecycle.emit("flops", nxt, n=self.costs.kernel_flops(nxt.task, nxt.patch))
+                self.stats.kernel_flops += self.costs.kernel_flops(nxt.task, nxt.patch)
                 self.finish_task(st, comm, nxt)
                 break
             offload.launch(nxt, g)
@@ -197,7 +199,7 @@ class SunwayScheduler(SchedulerCore):
             )
         t0 = self.sim.now
         yield self.sim.any_of(events)
-        self.lifecycle.emit("idle", seconds=self.sim.now - t0)
+        self.stats.idle_wait += self.sim.now - t0
 
     # ------------------------------------------------------------------ timestep
     def execute_timestep(
@@ -219,6 +221,7 @@ class SunwayScheduler(SchedulerCore):
         st = self._begin_step(step, time, dt_value, old_dw, new_dw, bootstrap)
         comm = CommEngine(self, st)
         offload = OffloadEngine(self, st, comm)
+        self.step_engines = (comm, offload)
 
         yield from comm.post_recvs()
         comm.queue_startup()
@@ -296,3 +299,4 @@ class SunwayScheduler(SchedulerCore):
 
         # drain outgoing sends before declaring the timestep done
         yield from comm.drain_sends()
+        self.step_engines = ()

@@ -129,7 +129,7 @@ class UnifiedHostScheduler(SchedulerCore):
             return 0.0
         if fault.kind == "slowdown":
             if self.policy is not None and fault.factor >= self.policy.straggler_factor:
-                self.lifecycle.emit("straggler", dt)
+                self.stats.stragglers_detected += 1
             return cost * (fault.factor - 1.0)
         wasted = cost if fault.kind == "stuck" else fault.error_frac * cost
         if self.policy is None:
@@ -137,9 +137,9 @@ class UnifiedHostScheduler(SchedulerCore):
             # nothing detects or recovers the failure
             return wasted
         if fault.kind == "stuck":
-            self.lifecycle.emit("kernel-timeout", dt)
+            self.stats.kernel_timeouts += 1
             wasted = self.policy.kernel_timeout(cost)
-        self.lifecycle.emit("kernel-retry", dt)
+        self.stats.kernel_retries += 1
         return wasted
 
     # The Unified Scheduler replaces the whole per-timestep loop: the
@@ -160,6 +160,7 @@ class UnifiedHostScheduler(SchedulerCore):
         tracker = st.tracker
         pool = WorkerPool(sim, rank, self.num_threads)
         comm = CommEngine(self, st, sink=pool.push)
+        self.step_engines = (comm,)
 
         def push_ready_tasks() -> None:
             for dt in tracker.drain():
@@ -191,11 +192,10 @@ class UnifiedHostScheduler(SchedulerCore):
 
         def execute_task(tid: int, dt: DetailedTask):
             task = dt.task
-            self.lifecycle.transition(
-                dt,
-                TaskState.RUNNING,
-                backend="mpe" if task.kind is TaskKind.CPE_KERNEL else None,
-            )
+            kernel = task.kind is TaskKind.CPE_KERNEL
+            self.lifecycle.transition(dt, TaskState.RUNNING, backend="mpe" if kernel else None)
+            if kernel:
+                self.stats.kernels_on_mpe += 1
             yield from thread_mpe(tid, "task-select", self.costs.sched.task_select)
             mpe_cost = self.costs.mpe_part_time(task, dt.patch, graph.grid)
             if mpe_cost > 0:
@@ -214,7 +214,7 @@ class UnifiedHostScheduler(SchedulerCore):
                 def reduce_watcher(req=req, dt=dt):
                     value = yield req
                     st.new_dw.put_reduction(dt.task.computes[0], value)
-                    self.lifecycle.emit("reduction", dt)
+                    self.stats.reductions += 1
                     finish_task(dt)
 
                 sim.process(reduce_watcher(), name=f"redw-r{rank}")
@@ -222,9 +222,9 @@ class UnifiedHostScheduler(SchedulerCore):
             # compute kernel on the host core
             if self.real and task.action is not None:
                 task.action(self._ctx(dt.patch, st))
-            if task.kind is TaskKind.CPE_KERNEL:
+            if kernel:
                 cost = self.costs.mpe_kernel_time(task, dt.patch)
-                self.lifecycle.emit("flops", dt, n=self.costs.kernel_flops(task, dt.patch))
+                self.stats.kernel_flops += self.costs.kernel_flops(task, dt.patch)
                 cost += self._host_fault_overhead(dt, cost)
             else:
                 cost = self.costs.mpe_task_time(task, dt.patch)
@@ -257,3 +257,4 @@ class UnifiedHostScheduler(SchedulerCore):
         unfinished = [r for r in comm.send_reqs if not r.complete]
         if unfinished:
             yield sim.all_of(unfinished)
+        self.step_engines = ()

@@ -15,9 +15,8 @@ not just inside the test suite.  This package is that answer:
   it is derived from
   :class:`~repro.core.schedulers.base.SchedulerStats` — per-step deltas
   of ``RunResult.rank_step_stats``, which traced runs alone keep, and
-  the run's totals — so the lifecycle's
-  :class:`~repro.core.schedulers.lifecycle.StatsSubscriber` stays the
-  one place that turns runtime events into counters;
+  the run's totals — whose counters are bumped by their producers
+  where things happen, never mapped a second time;
 * :mod:`repro.telemetry.analyzer` — folds :class:`~repro.core.trace.
   Tracer` spans and the ledger into per-rank time accounting
   (kernel / pack / unpack / MPI-wait / idle) and a per-timestep

@@ -150,8 +150,8 @@ class ScheduleValidator:
 class RankValidator:
     """Mirror of one rank's per-timestep lifecycle state machine.
 
-    Subscribed to the rank's lifecycle bus; consumes the same events the
-    stats subscriber does and rebuilds the readiness ledger
+    Subscribed to the rank's lifecycle bus; consumes its transitions,
+    receives, copies and scrubs and rebuilds the readiness ledger
     independently, from the task graph's static structure — so a
     scheduler bug that mis-counts blockers cannot fool it.
     """

@@ -245,6 +245,26 @@ def test_grid_equality_ignores_tables():
     assert "_patches" not in repr(a)
 
 
+def test_grid_hash_is_field_based_and_computed_once(monkeypatch):
+    """The geometry memos hash the grid on every lookup: equal grids hash
+    equal, and each grid computes its hash once."""
+    from repro.burgers.phi import phi_cells
+
+    memo = Grid.__dict__["_hash"]
+    compute = memo.func
+    calls = []
+    monkeypatch.setattr(memo, "func", lambda g: calls.append(g) or compute(g))
+    a = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
+    b = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
+    c = Grid(extent=(8, 8, 8), layout=(2, 2, 2), domain_high=(2.0, 1.0, 1.0))
+    assert hash(a) == hash(b) and a == b
+    assert a != c and {a: 1}.get(c) is None
+    for _ in range(5):
+        hash(a)
+        phi_cells(a, 0, 0, 8, 0.0)
+    assert len(calls) == 3  # a, b and c, once each
+
+
 def test_region_stores_extent_and_cells():
     r = Region((1, 2, 3), (4, 6, 9))
     assert r.extent == (3, 4, 6) and r.num_cells == 72

@@ -6,8 +6,11 @@ mode does not, results are identical either way, and failures surface as
 errors instead of hangs.
 """
 
+import collections
+import functools
 import json
 import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -353,6 +356,85 @@ def test_only_optional_observers_subscribe():
     assert all(len(s.lifecycle._subs) == 1 for s in validated.schedulers)
 
 
+#: What the lifecycle bus carries: what the schedule validator reads.
+BUS_KINDS = {"step-begin", "transition", "msg-recv", "local-copy", "scrubbed"}
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded_faulted_run(mode):
+    """A faulted run with a recorder on each timestep scheduler's bus:
+    the schedulers and, per rank, the recorded events."""
+    from repro.faults import FaultConfig, FaultInjector, ResiliencePolicy
+
+    grid = Grid(extent=(12, 12, 12), layout=(2, 2, 1))
+    prob = BurgersProblem(grid)
+    faults = FaultInjector(
+        FaultConfig(
+            seed=1,
+            kernel_slowdown_prob=0.2,
+            kernel_slowdown_factor=2.5,
+            kernel_stuck_prob=0.1,
+            dma_error_prob=0.2,
+            msg_drop_prob=0.1,
+        )
+    )
+    ctl = SimulationController(
+        grid, prob.tasks(), prob.init_tasks(), num_ranks=2, mode=mode, real=False,
+        faults=faults, resilience=ResiliencePolicy(max_offload_retries=1),
+    )
+    events = []
+    for sched in ctl.schedulers:
+        events.append([])
+        sched.lifecycle.subscribe(events[-1].append)
+    ctl.run(nsteps=4, dt=prob.stable_dt())
+    return ctl.schedulers, events
+
+
+@pytest.mark.parametrize("mode", ["async", "sync", "mpe_only"])
+def test_bus_carries_only_what_the_validator_reads(mode):
+    """Counters are bumped where they happen, so a faulted run announces
+    nothing but step starts, transitions, receives, copies and scrubs."""
+    _, events = _recorded_faulted_run(mode)
+    kinds = {ev.kind for rank_events in events for ev in rank_events}
+    assert "transition" in kinds and kinds <= BUS_KINDS, kinds - BUS_KINDS
+
+
+@pytest.mark.parametrize("mode", ["async", "sync", "mpe_only"])
+def test_counters_agree_with_the_bus(mode):
+    """Each directly bumped counter equals the bus announcements of the
+    same happenings, rank by rank."""
+    from repro.core.schedulers.lifecycle import TaskState
+
+    schedulers, events = _recorded_faulted_run(mode)
+    for sched, rank_events in zip(schedulers, events):
+        s = sched.stats
+        kinds = collections.Counter(ev.kind for ev in rank_events)
+        moves = collections.Counter(
+            (ev.state, ev.info.get("backend"), ev.info.get("cause"), bool(ev.info.get("retry")))
+            for ev in rank_events
+            if ev.kind == "transition"
+        )
+
+        def count(state, backends=(None,), cause=None, retry=False):
+            return sum(moves[(state, b, cause, retry)] for b in backends)
+
+        assert s.tasks_run == sum(n for m, n in moves.items() if m[0] is TaskState.DONE)
+        assert s.messages_received == kinds["msg-recv"]
+        assert s.local_copies == kinds["local-copy"]
+        assert s.scrubbed == kinds["scrubbed"]
+        assert s.kernel_timeouts == count(TaskState.FAILED, cause="timeout")
+        assert s.kernels_on_mpe == count(TaskState.RUNNING, ("mpe", "mpe_fallback"))
+        assert s.mpe_fallbacks == count(TaskState.RUNNING, ("mpe_fallback",))
+        assert s.kernels_offloaded == count(TaskState.RUNNING, ("cpe",))
+        assert s.kernel_retries == count(TaskState.READY, retry=True) + count(
+            TaskState.RUNNING, ("cpe",), retry=True
+        )
+    if mode != "mpe_only":
+        # the fault seed reaches the watchdog and the MPE fallback
+        assert sum(sched.stats.kernel_timeouts for sched in schedulers) > 0
+        assert sum(sched.stats.mpe_fallbacks for sched in schedulers) > 0
+
+
 def test_release_below_zero_raises():
     """Over-releasing a task is a task-graph bug and must not pass silently."""
     tracker, _ = _tracker(1)
@@ -380,10 +462,14 @@ def _impossible_blocker(graph):
     graph.internal_deps[9999] = set()
 
 
+#: The tag of the phantom message :func:`_message_never_sent` awaits.
+PHANTOM_TAG = 10**6
+
+
 def _message_never_sent(graph):
     """The first task also waits on a message no rank sends (caught by
     the controller: the event queue drains with the receive posted)."""
-    phantom = SimpleNamespace(from_rank=0, tag=10**6, region=SimpleNamespace(num_cells=1))
+    phantom = SimpleNamespace(from_rank=0, tag=PHANTOM_TAG, region=SimpleNamespace(num_cells=1))
     victim = graph.detailed_tasks[0]
     recvs_for, recvs_on = graph.recvs_for, graph.recvs_on
     graph.recvs_for = lambda dt: recvs_for(dt) + [phantom] * (dt is victim)
@@ -392,25 +478,35 @@ def _message_never_sent(graph):
 
 def test_deadlock_detected_not_hung():
     """A corrupted timestep or initialization graph raises DeadlockError
-    naming the phase the rank stopped in, whichever layer notices."""
+    naming the phase the rank stopped in, whichever layer notices, and
+    the receive it still awaits."""
     grid = Grid(extent=(8, 8, 8), layout=(1, 1, 1))
     prob = BurgersProblem(grid, with_reduction=False)
     for sabotage in (_impossible_blocker, _message_never_sent):
-        for graph_attr, where in (("graph", "step 1"), ("init_graph", "initialization")):
+        for graph_attr, step, where in (
+            ("graph", 1, "step 1"),
+            ("init_graph", 0, "initialization"),
+        ):
             ctl = SimulationController(
                 grid, prob.tasks(), prob.init_tasks(), num_ranks=1, mode="async", real=True
             )
-            sabotage(getattr(ctl, graph_attr))
+            graph = getattr(ctl, graph_attr)
+            sabotage(graph)
             with pytest.raises(DeadlockError) as info:
                 ctl.run(nsteps=1, dt=1e-4)
-            assert f"rank 0 {where}:" in str(info.value), (sabotage.__name__, graph_attr)
+            msg = str(info.value)
+            assert f"rank 0 {where}:" in msg, (sabotage.__name__, graph_attr)
+            if sabotage is _message_never_sent:
+                # the posted tag is the step's tag base plus the spec's tag
+                tag = step * graph.num_tags + PHANTOM_TAG
+                assert f"awaiting recv from rank 0 tag {tag})" in msg, msg
 
 
 @pytest.mark.parametrize("mode", ["async", "sync"])
 def test_stuck_kernel_without_policy_names_the_deadlock(mode):
     """A hung CPE with no resilience policy cannot recover; the run must
-    end in a DeadlockError naming each rank's step and task states, not
-    an anonymous drained-queue error."""
+    end in a DeadlockError naming each rank's step, task states and hung
+    kernel with its CPE group, not an anonymous drained-queue error."""
     from repro.faults import FaultConfig, FaultInjector
 
     grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
@@ -425,6 +521,12 @@ def test_stuck_kernel_without_policy_names_the_deadlock(mode):
     assert "rank 0 step 1:" in msg and "rank 1 step 1:" in msg
     assert "1 running" in msg  # the hung kernel, one per rank
     assert "pending" in msg
+    kernels = {
+        dt.name for dt in ctl.graph.detailed_tasks if dt.task.kind is TaskKind.CPE_KERNEL
+    }
+    hung = re.findall(r"awaiting kernel (\S+) on CPE group (\d+)\)", msg)
+    assert len(hung) == 2, msg  # one per rank
+    assert all(name in kernels and group == "0" for name, group in hung), hung
 
 
 def test_kernel_exception_propagates():

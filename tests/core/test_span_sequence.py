@@ -101,6 +101,27 @@ def test_span_sequence_is_pinned(name):
     assert _digest(spans) == DIGESTS[name]
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "async_faulted",
+        pytest.param(
+            "sync_faulted",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="OffloadEngine.spin_to_completion records no recover-timeout "
+                "span and checks no straggler_factor (a model change: ROADMAP item 1)",
+            ),
+        ),
+    ],
+)
+def test_each_watchdog_timeout_records_a_recovery_span(name):
+    res, _ = _scenario(name)
+    spans = sum(1 for s in res.trace.spans if s.name.startswith("recover-timeout:"))
+    assert res.stats.kernel_timeouts > 0
+    assert spans == res.stats.kernel_timeouts
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration aid
     for name in sorted(DIGESTS):
         print(f'    "{name}": "{_digest(_scenario(name)[0].trace.spans)}",')
