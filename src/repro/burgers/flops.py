@@ -4,7 +4,10 @@ The paper counts ~311 flops per cell with precise hardware counters, 215
 of which come from the six exponentials.  We derive the same budget from
 the kernel structure, at the hoisting level a reasonable implementation
 uses (per-timestep constants like ``dt`` products precomputed; per-cell
-coordinate and exponent arithmetic counted):
+coordinate and exponent arithmetic counted).  A divide counts as one
+op, the SW26010 counters' convention (Sec. VII-E), and an exponential
+as the flops of the library that evaluates it
+(:func:`repro.sunway.fastmath.exp_flops`):
 
 Per phi call (stable form, Sec. III):
 
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 from repro.core.grid import Grid
 from repro.sunway.corerates import KernelCost
-from repro.sunway.perfcounters import FlopCounter
 
 #: Non-exponential ops per phi call (see table above).
 PHI_NONEXP_FLOPS = 22
@@ -60,19 +62,6 @@ BYTES_PER_CELL = 16
 BURGERS_KERNEL_COST = KernelCost(stencil_flops=NONEXP_FLOPS_PER_CELL, exp_calls=EXPS_PER_CELL)
 
 
-def count_kernel_flops(counter: FlopCounter, cells: int) -> None:
-    """Register one kernel execution over ``cells`` cells on a counter."""
-    # Exact per-category breakdown of the 95 non-exp ops:
-    #   muls: coordinate(3) + exponent muls(9) + numerator muls(6) +
-    #         advection muls(6) + diffusion muls(6) + du mul(1) + update mul(1) = 32
-    #   adds/subs: exponent adds(18) + subtract-max(9) + numerator adds(6) +
-    #         denominator adds(6) + advection subs(3) + diffusion adds(6) +
-    #         du adds(5) + update add(1) = 54
-    #   compares: max-of-three = 6
-    #   divs: final phi divides = 3
-    counter.count(muls=32, adds=54, compares=6, divs=3, exps=EXPS_PER_CELL, times=cells)
-
-
 def grid_ghosted_cells(grid: Grid) -> int:
     """Table I's "Total Cells": the grid plus one global ghost layer."""
     nx, ny, nz = grid.extent
@@ -80,13 +69,18 @@ def grid_ghosted_cells(grid: Grid) -> int:
 
 
 def table1_row(grid: Grid, fast_exp: bool = True) -> dict:
-    """One row of Table I for a grid: counted totals and flops per cell."""
-    counter = FlopCounter(fast_exp=fast_exp)
-    count_kernel_flops(counter, grid.num_cells)
+    """One row of Table I for a grid: total flops and flops per cell.
+
+    The totals come from :data:`BURGERS_KERNEL_COST`, the same per-cell
+    cost the scheduler charges each kernel.  Every operand is an integer,
+    so each ratio is the correctly rounded quotient.
+    """
+    per_cell = BURGERS_KERNEL_COST.flops_per_cell(fast_exp)
+    total_flops = grid.num_cells * per_cell
     total_cells = grid_ghosted_cells(grid)
     return {
         "total_cells": total_cells,
-        "total_flops": counter.total,
-        "flops_per_cell": counter.total / total_cells,
-        "exp_share": counter.report().exp_share,
+        "total_flops": total_flops,
+        "flops_per_cell": total_flops / total_cells,
+        "exp_share": (per_cell - BURGERS_KERNEL_COST.stencil_flops) / per_cell,
     }

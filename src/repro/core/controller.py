@@ -73,9 +73,9 @@ class RunResult:
     #: Per-rank cumulative counter copies at the same boundaries, taken
     #: in traced runs only (``None`` otherwise): ``rank_step_stats[r][s]``
     #: is ``vars(rank r's stats)`` at the end of step ``s``.  The ledger's
-    #: per-step values are their deltas.  ``mpi_retries`` is folded in
-    #: after the last step (see
-    #: :meth:`SimulationController.fold_mpi_retries`), so no copy has it.
+    #: per-step values are their deltas; every counter, ``mpi_retries``
+    #: included, is bumped while the steps run, so the deltas sum to the
+    #: rank's totals.
     rank_step_stats: list[list[dict]] | None = None
     #: DES events this ``run()`` processed (init graph included), counted
     #: by the simulator itself.
@@ -122,7 +122,6 @@ class SimulationController:
         mode: str = "async",
         cost_model: SunwayCostModel | None = None,
         real: bool = True,
-        balancer: str = "sfc",
         fabric_config: FabricConfig | None = None,
         trace_enabled: bool = False,
         scheduler_kwargs: dict | None = None,
@@ -162,7 +161,7 @@ class SimulationController:
             policy=resilience,
         )
         self.trace = Tracer(enabled=trace_enabled)
-        self.assignment = LoadBalancer(balancer).assign(grid, num_ranks)
+        self.assignment = LoadBalancer().assign(grid, num_ranks)
         self.graph = TaskGraph(grid, tasks, self.assignment, num_ranks)
         self.init_graph = TaskGraph(grid, init_tasks, self.assignment, num_ranks)
         if self.init_graph.messages:
@@ -227,7 +226,7 @@ class SimulationController:
             )
             for r in range(num_ranks)
         ]
-        self._folded_retries = [0] * num_ranks
+        self.fabric.rank_stats = [s.stats for s in self.schedulers]
         self.init_schedulers = [
             factory(
                 self.sim,
@@ -263,29 +262,17 @@ class SimulationController:
         for e in self.grid.patch_extent:
             per_patch *= e + 2  # one ghost layer
         per_patch_bytes = per_patch * 8 * nfields
-        counts = LoadBalancer.load_counts(self.assignment, self.num_ranks)
-        worst_rank = max(range(self.num_ranks), key=lambda r: counts[r])
-        demand = counts[worst_rank] * per_patch_bytes
+        npatches = [len(self.graph.local_patches(r)) for r in range(self.num_ranks)]
+        worst_rank = max(range(self.num_ranks), key=npatches.__getitem__)
+        demand = npatches[worst_rank] * per_patch_bytes
         if demand > limit_bytes:
             raise MemoryError(
                 f"rank {worst_rank} needs {demand / 1024**3:.2f} GiB for "
-                f"{counts[worst_rank]} patches ({len(labels)} field(s), 2 "
+                f"{npatches[worst_rank]} patches ({len(labels)} field(s), 2 "
                 f"warehouses) but a CG offers {limit_bytes / 1024**3:.2f} GiB "
                 "of usable field memory -- the paper's 'crashes with memory "
                 "allocation errors' case; use more CGs"
             )
-
-    def fold_mpi_retries(self) -> None:
-        """Add the fabric's per-sender retransmissions to the rank stats.
-
-        Delta-guarded, so repeated ``run()`` calls and the recovery
-        runner's fold of an aborted controller never double-count.
-        """
-        for r, sent in enumerate(self.fabric.retries_by_rank):
-            delta = sent - self._folded_retries[r]
-            if delta:
-                self.schedulers[r].stats.mpi_retries += delta
-                self._folded_retries[r] = sent
 
     def _deadlock(self, procs) -> DeadlockError:
         """Name the step, task states, awaited receives and in-flight
@@ -419,7 +406,6 @@ class SimulationController:
             steps.append(cur - prev)
             prev = cur
 
-        self.fold_mpi_retries()
         merged = SchedulerStats()
         for sched in self.schedulers:
             merged.merge(sched.stats)

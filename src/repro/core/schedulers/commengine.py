@@ -161,7 +161,8 @@ class CommEngine:
             if sched.real and self.st.old_dw is not None:
                 self.st.old_dw.scrub_named(label_name, pid)
             sched.stats.scrubbed += 1
-            sched.lifecycle.emit("scrubbed", label=label_name, patch=pid)
+            if sched.lifecycle.observed:
+                sched.lifecycle.emit("scrubbed", label=label_name, patch=pid)
         else:
             self.scrub_counts[key] = left - 1
 
@@ -175,7 +176,8 @@ class CommEngine:
     def apply_copy(self, spec: CopySpec) -> None:
         sched, st = self.sched, self.st
         sched.stats.local_copies += 1
-        sched.lifecycle.emit("local-copy", spec.consumer)
+        if sched.lifecycle.observed:
+            sched.lifecycle.emit("local-copy", spec.consumer)
         if sched.real:
             slabs = sched.slabs
             dw = st.dw_for(spec.dw)
@@ -219,7 +221,8 @@ class CommEngine:
         stats = sched.stats
         stats.messages_received += 1
         stats.bytes_received += spec.nbytes
-        sched.lifecycle.emit("msg-recv", spec.consumer)
+        if sched.lifecycle.observed:
+            sched.lifecycle.emit("msg-recv", spec.consumer)
         if sched.real:
             dw = st.dw_for(spec.dw)
             if dw.exists(spec.label, spec.to_patch):

@@ -104,6 +104,10 @@ class TaskLifecycle:
     def __init__(self, clock):
         self._clock = clock
         self._subs: list[_t.Callable[[LifecycleEvent], None]] = []
+        #: ``True`` once anyone subscribed.  Callers of :meth:`emit` on a
+        #: hot path check it first, so an unobserved run builds not even
+        #: the keyword dict of an announcement.
+        self.observed = False
         self._state: dict[int, TaskState] = {}
         #: The timestep :meth:`begin_step` last announced (``None`` before).
         self.step: int | None = None
@@ -111,6 +115,7 @@ class TaskLifecycle:
     def subscribe(self, fn: _t.Callable[[LifecycleEvent], None]) -> None:
         """Register an observer called synchronously on every event."""
         self._subs.append(fn)
+        self.observed = True
 
     def begin_step(self, tasks, step: int = 0) -> None:
         """Register this timestep's tasks (all PENDING) and announce it.

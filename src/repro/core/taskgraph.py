@@ -135,6 +135,11 @@ class TaskGraph:
     def _compile(self) -> None:
         grid = self.grid
         patches = grid.patches()
+        # Patches per rank, grouped once: the reductions' local inputs
+        # and the per-rank views both read this grouping.
+        self._local_patches: dict[int, list[Patch]] = {r: [] for r in range(self.num_ranks)}
+        for patch in patches:
+            self._local_patches[self.assignment[patch.patch_id]].append(patch)
         # Producer map: label name -> coarse task computing it (in order).
         producer_of: dict[str, Task] = {}
         for task in self.tasks:
@@ -276,11 +281,10 @@ class TaskGraph:
                         f"reduction task {task.name!r} requires {dep.label.name!r} "
                         "which no task computes"
                     )
-                for pid, prank in self.assignment.items():
-                    if prank == rank:
-                        self.internal_deps[consumer.dt_id].add(
-                            dt_of[(ptask.name, pid)].dt_id
-                        )
+                for patch in self._local_patches[rank]:
+                    self.internal_deps[consumer.dt_id].add(
+                        dt_of[(ptask.name, patch.patch_id)].dt_id
+                    )
         # reductions use collectives, not tagged messages
         return len(self.messages)
 
@@ -291,9 +295,6 @@ class TaskGraph:
         self._local: dict[int, list[DetailedTask]] = {r: [] for r in range(self.num_ranks)}
         for dt in self.detailed_tasks:
             self._local[dt.rank].append(dt)
-        self._local_patches: dict[int, list[Patch]] = {r: [] for r in range(self.num_ranks)}
-        for patch in self.grid.patches():
-            self._local_patches[self.assignment[patch.patch_id]].append(patch)
         # internal edges are same-rank, so visiting consumers in global
         # order lists each producer's dependents in local-task order
         self._dependents: dict[int, list[DetailedTask]] = {

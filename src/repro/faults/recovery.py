@@ -126,7 +126,6 @@ class ResilientRunner:
     @staticmethod
     def _fold(controller: SimulationController, into: SchedulerStats) -> None:
         """Merge a (possibly aborted) controller's counters into ``into``."""
-        controller.fold_mpi_retries()
         for sched in controller.schedulers:
             into.merge(sched.stats)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pathlib
 import typing as _t
 
@@ -29,6 +30,18 @@ from repro.core.task import Task, TaskContext, TaskKind
 from repro.core.varlabel import VarLabel
 
 _FORMAT_VERSION = 1
+
+
+def _publish(path: pathlib.Path, text: str) -> None:
+    """Replace ``path`` with ``text`` all at once: write a temp file in
+    the same directory, then rename it over ``path``.  A write broken off
+    halfway leaves the previous file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclasses.dataclass
@@ -82,8 +95,9 @@ class UdaArchive:
                 labels.setdefault(name, {"vartype": "reduction", "itemsize": 8})
                 reductions[name] = value
 
-        (step_dir / "meta.json").write_text(
-            json.dumps({"step": step, "time": time, "reductions": reductions}, indent=2)
+        _publish(
+            step_dir / "meta.json",
+            json.dumps({"step": step, "time": time, "reductions": reductions}, indent=2),
         )
 
         index_path = self.root / "index.json"
@@ -111,7 +125,7 @@ class UdaArchive:
         if step not in index["steps"]:
             index["steps"].append(step)
             index["steps"].sort()
-        index_path.write_text(json.dumps(index, indent=2))
+        _publish(index_path, json.dumps(index, indent=2))
         return step_dir
 
     # -- reading ----------------------------------------------------------------

@@ -125,6 +125,10 @@ class Fabric:
         self._net_active = faults is not None and faults.config.net_active
         #: Retransmissions of dropped messages, attributed to the sender.
         self.retries_by_rank: list[int] = [0] * num_ranks
+        #: Per-rank :class:`~repro.core.schedulers.base.SchedulerStats`
+        #: whose ``mpi_retries`` each retransmission also bumps; the
+        #: controller hands over its timestep schedulers' stats.
+        self.rank_stats: list | None = None
         self.messages_dropped = 0
         self.messages_duplicated = 0
         self.messages_delayed = 0
@@ -249,6 +253,8 @@ class Fabric:
             rto *= 1.0 + jitter_frac * self.faults.jitter()
             yield wire_cost + rto
             self.retries_by_rank[send_req.source] += 1
+            if self.rank_stats is not None:
+                self.rank_stats[send_req.source].mpi_retries += 1
             self.bytes_sent += send_req.nbytes
             if attempt >= max_retries or not self.faults.redrop(self.sim.now, site):
                 break

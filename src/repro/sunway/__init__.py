@@ -15,13 +15,15 @@ scheduler depends on is modelled here explicitly:
   instruction), synchronous join or asynchronous polling.
 * :mod:`~repro.sunway.corerates` — throughput model for MPE and CPE
   execution of instrumented kernels (splits exponential and stencil work,
-  models SIMD speedup and fast-exp vs IEEE-exp cost).
+  models SIMD speedup and fast-exp vs IEEE-exp cost).  Its
+  :class:`~repro.sunway.corerates.KernelCost` is the one per-cell flop
+  count: the scheduler charges it and Table I multiplies it out, with
+  division and square root counted as one operation, as the SW26010
+  counters do.
 * :mod:`~repro.sunway.simd` — a behavioural emulation of the 256-bit 4-wide
   SIMD intrinsics used in the paper's Algorithm 2.
 * :mod:`~repro.sunway.fastmath` — IEEE vs fast (non-conforming) software
   exponentials; the fast one really is less accurate, as on Sunway.
-* :mod:`~repro.sunway.perfcounters` — FLOP counters with the SW26010
-  convention that division and square root count as one operation.
 """
 
 from repro.sunway.config import (
@@ -33,7 +35,6 @@ from repro.sunway.config import (
 from repro.sunway.ldm import LDM, LDMAllocationError
 from repro.sunway.dma import DMAEngine, DMATransfer
 from repro.sunway.athread import AthreadRuntime, CompletionFlag, OffloadHandle
-from repro.sunway.perfcounters import FlopCounter, FlopReport
 from repro.sunway.corerates import KernelCost, CoreRates
 
 __all__ = [
@@ -48,8 +49,6 @@ __all__ = [
     "AthreadRuntime",
     "CompletionFlag",
     "OffloadHandle",
-    "FlopCounter",
-    "FlopReport",
     "KernelCost",
     "CoreRates",
 ]

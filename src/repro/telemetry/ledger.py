@@ -40,6 +40,7 @@ _STEP_TOTAL_FIELDS = {
     "kernel_retries": "kernel_retries",
     "mpe_fallbacks": "mpe_fallbacks",
     "stragglers": "stragglers_detected",
+    "retransmits": "mpi_retries",
 }
 
 #: Registry counter name -> the merged SchedulerStats field it reports.

@@ -16,7 +16,9 @@ from repro.burgers.flops import (
     BURGERS_KERNEL_COST,
     EXPS_PER_CELL,
     NONEXP_FLOPS_PER_CELL,
-    count_kernel_flops,
+    PHI_CALLS_PER_CELL,
+    PHI_NONEXP_FLOPS,
+    STENCIL_ONLY_FLOPS,
     grid_ghosted_cells,
     table1_row,
 )
@@ -24,7 +26,7 @@ from repro.core.controller import SimulationController
 from repro.core.grid import Grid
 from repro.core.schedulers.unified import UnifiedHostScheduler
 from repro.core.task import TaskKind
-from repro.sunway.perfcounters import FlopCounter
+from repro.sunway.fastmath import FAST_EXP_FLOPS
 
 
 # -- flop model -------------------------------------------------------------------
@@ -35,19 +37,21 @@ def test_flops_per_cell_is_paper_311():
 
 def test_exp_share_matches_paper():
     """~215 of ~311 flops come from the 6 exponentials."""
-    c = FlopCounter(fast_exp=True)
-    count_kernel_flops(c, cells=1)
-    assert c.report().exp_flops == 216
-    assert c.report().exp_share == pytest.approx(216 / 311, abs=1e-9)
+    assert EXPS_PER_CELL * FAST_EXP_FLOPS == 216
+    for extent in ((16, 16, 512), (128, 128, 1024)):
+        row = table1_row(Grid(extent=extent))
+        assert row["exp_share"] == 216 / 311
 
 
 def test_breakdown_sums_to_budget():
-    c = FlopCounter(fast_exp=True)
-    count_kernel_flops(c, cells=10)
-    r = c.report()
-    assert r.muls == 320 and r.adds == 540 and r.compares == 60 and r.divs == 30
-    assert r.total == 3110
-    assert r.exp_calls == 10 * EXPS_PER_CELL
+    """The per-phi and stencil tallies add up to the 311 the scheduler
+    charges, and Table I's total is that cost times the interior cells."""
+    assert PHI_CALLS_PER_CELL * PHI_NONEXP_FLOPS + STENCIL_ONLY_FLOPS == 95
+    assert NONEXP_FLOPS_PER_CELL + EXPS_PER_CELL * FAST_EXP_FLOPS == 311
+    grid = Grid(extent=(128, 128, 1024))  # Table I's first row
+    row = table1_row(grid)
+    assert row["total_flops"] == grid.num_cells * 311 == 5_217_714_176
+    assert row["total_flops"] == grid.num_cells * BURGERS_KERNEL_COST.flops_per_cell()
 
 
 def test_nonexp_budget():

@@ -165,7 +165,7 @@ def test_only_sends_and_stashed_copies_pack(monkeypatch):
     ranks stashes both kinds."""
     counts = _count_data_path(monkeypatch)
     tasks, init, _labels = build_pipeline(3, [1, 0, 1], with_reduction=False)
-    _fields, res = run_workload(tasks, init, 3, "async", "sfc", 3)
+    _fields, res = run_workload(tasks, init, 3, "async", 3)
     assert counts["stashed_copies"] > 0 and counts["stashed_unpacks"] > 0
     assert res.stats.local_copies > counts["stashed_copies"]
     assert counts["packs"] == res.stats.messages_sent + counts["stashed_copies"]

@@ -118,12 +118,6 @@ def test_rank_stats_per_rank():
     assert total == res.stats.kernels_offloaded == 2 * 8
 
 
-def test_custom_balancer_changes_assignment():
-    _, prob, ctl_sfc = make_controller(balancer="sfc", num_ranks=4)
-    _, _, ctl_rr = make_controller(balancer="roundrobin", num_ranks=4)
-    assert ctl_sfc.assignment != ctl_rr.assignment
-
-
 def test_run_reports_its_own_des_event_count(monkeypatch):
     """``RunResult.des_events`` equals an outside count of
     ``Simulator.step`` calls, the way the benchmark counts events."""

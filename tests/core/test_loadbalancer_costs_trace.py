@@ -16,23 +16,26 @@ from repro.sunway.corerates import KernelCost
 GRID = Grid(extent=(16, 16, 16), layout=(4, 4, 2))  # 32 patches
 
 
+def patch_counts(assignment, num_ranks):
+    counts = [0] * num_ranks
+    for r in assignment.values():
+        counts[r] += 1
+    return counts
+
+
 def test_all_strategies_cover_all_patches():
-    for strategy in LoadBalancer.STRATEGIES:
-        assignment = LoadBalancer(strategy).assign(GRID, 4)
-        assert set(assignment) == {p.patch_id for p in GRID.patches()}
-        assert set(assignment.values()) == {0, 1, 2, 3}
+    assignment = LoadBalancer().assign(GRID, 4)
+    assert set(assignment) == {p.patch_id for p in GRID.patches()}
+    assert set(assignment.values()) == {0, 1, 2, 3}
 
 
 def test_balance_even_division():
-    for strategy in LoadBalancer.STRATEGIES:
-        assignment = LoadBalancer(strategy).assign(GRID, 8)
-        counts = LoadBalancer.load_counts(assignment, 8)
-        assert counts == [4] * 8, strategy
+    assignment = LoadBalancer().assign(GRID, 8)
+    assert patch_counts(assignment, 8) == [4] * 8
 
 
 def test_balance_uneven_division():
-    assignment = LoadBalancer("sfc").assign(GRID, 5)
-    counts = LoadBalancer.load_counts(assignment, 5)
+    counts = patch_counts(LoadBalancer().assign(GRID, 5), 5)
     assert sum(counts) == 32
     assert max(counts) - min(counts) <= 1
 
@@ -48,14 +51,12 @@ def test_sfc_keeps_ranks_spatially_compact():
                     n += 1
         return n
 
-    sfc = remote_faces(LoadBalancer("sfc").assign(GRID, 8))
-    rr = remote_faces(LoadBalancer("roundrobin").assign(GRID, 8))
+    sfc = remote_faces(LoadBalancer().assign(GRID, 8))
+    rr = remote_faces({p.patch_id: p.patch_id % 8 for p in GRID.patches()})
     assert sfc < rr
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        LoadBalancer("magic")
     with pytest.raises(ValueError):
         LoadBalancer().assign(GRID, 0)
     with pytest.raises(ValueError, match="one patch per CG"):
@@ -63,8 +64,8 @@ def test_validation():
 
 
 def test_deterministic():
-    a = LoadBalancer("sfc").assign(GRID, 4)
-    b = LoadBalancer("sfc").assign(GRID, 4)
+    a = LoadBalancer().assign(GRID, 4)
+    b = LoadBalancer().assign(GRID, 4)
     assert a == b
 
 

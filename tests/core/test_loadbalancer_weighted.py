@@ -22,7 +22,7 @@ def chain_graph(num_ranks=2):
     t3 = Task("norm", kind=TaskKind.REDUCTION, reduction_op=max)
     t3.requires_(V, dw="new").computes_(NORM)
     grid = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
-    assignment = LoadBalancer("sfc").assign(grid, num_ranks)
+    assignment = LoadBalancer().assign(grid, num_ranks)
     return TaskGraph(grid, [t1, t2, t3], assignment, num_ranks), grid
 
 

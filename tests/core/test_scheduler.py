@@ -351,9 +351,43 @@ def test_only_optional_observers_subscribe():
             trace_enabled=True, resilience=ResiliencePolicy(), validator=validator,
         )
 
-    assert all(not s.lifecycle._subs for s in controller().schedulers)
+    assert all(not s.lifecycle.observed for s in controller().schedulers)
     validated = controller(ScheduleValidator())
+    assert all(s.lifecycle.observed for s in validated.schedulers)
     assert all(len(s.lifecycle._subs) == 1 for s in validated.schedulers)
+
+
+def test_unobserved_run_announces_nothing(monkeypatch):
+    """With nobody subscribed, the comm engine skips ``emit`` for every
+    receive, copy and scrub; with a subscriber, each one is announced."""
+    from repro.core.schedulers.lifecycle import TaskLifecycle
+
+    calls = []
+    real_emit = TaskLifecycle.emit
+
+    def counting_emit(self, kind, dt=None, **info):
+        calls.append(kind)
+        real_emit(self, kind, dt, **info)
+
+    monkeypatch.setattr(TaskLifecycle, "emit", counting_emit)
+
+    def run(subscribe):
+        grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
+        prob = BurgersProblem(grid)
+        ctl = SimulationController(
+            grid, prob.tasks(), prob.init_tasks(), num_ranks=2, real=False
+        )
+        if subscribe:
+            for sched in ctl.schedulers:
+                sched.lifecycle.subscribe(lambda ev: None)
+        res = ctl.run(nsteps=3, dt=prob.stable_dt())
+        s = res.stats
+        return s.messages_received + s.local_copies + s.scrubbed
+
+    run(subscribe=False)
+    assert calls == []
+    announced = run(subscribe=True)
+    assert announced > 0 and len(calls) == announced
 
 
 #: What the lifecycle bus carries: what the schedule validator reads.

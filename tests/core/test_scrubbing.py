@@ -25,7 +25,7 @@ def run(num_ranks=2, scrub=True, nsteps=3, mode="async"):
 def test_consumer_counts_compiled():
     grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
     prob = BurgersProblem(grid)
-    assignment = LoadBalancer("sfc").assign(grid, 1)
+    assignment = LoadBalancer().assign(grid, 1)
     graph = TaskGraph(grid, prob.tasks(), assignment, 1)
     counts = graph.old_dw_consumers(0)
     # on one rank: every patch's u is read by its own timeAdvance (1)

@@ -25,10 +25,10 @@ def advance_task(name="advance", requires_new=None):
     return t
 
 
-def build(grid=None, tasks=None, num_ranks=2, strategy="block"):
+def build(grid=None, tasks=None, num_ranks=2):
     grid = grid or Grid(extent=(8, 8, 8), layout=(2, 2, 2))
     tasks = tasks if tasks is not None else [advance_task()]
-    assignment = LoadBalancer(strategy).assign(grid, num_ranks)
+    assignment = LoadBalancer().assign(grid, num_ranks)
     return TaskGraph(grid, tasks, assignment, num_ranks), grid, assignment
 
 
@@ -175,16 +175,25 @@ def test_assignment_validation():
         TaskGraph(grid, [advance_task()], bad, 2)
 
 
+@st.composite
+def assignments(draw):
+    """``(num_ranks, assignment)``: any patch -> rank map of the 2x2x2
+    layout, the load balancer's or an arbitrary one (ranks may own none)."""
+    num_ranks = draw(st.integers(1, 8))
+    grid = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
+    if draw(st.booleans()):
+        return num_ranks, LoadBalancer().assign(grid, num_ranks)
+    ranks = draw(st.lists(st.integers(0, num_ranks - 1), min_size=8, max_size=8))
+    return num_ranks, dict(enumerate(ranks))
+
+
 @settings(deadline=None, max_examples=25)
-@given(
-    num_ranks=st.integers(1, 8),
-    strategy=st.sampled_from(LoadBalancer.STRATEGIES),
-)
-def test_property_no_ghost_dependency_lost(num_ranks, strategy):
+@given(case=assignments())
+def test_property_no_ghost_dependency_lost(case):
     """For any assignment, every (patch, face-neighbour) pair is served by
     exactly one message or copy — ghost data can never be missing."""
+    num_ranks, assignment = case
     grid = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
-    assignment = LoadBalancer(strategy).assign(grid, num_ranks)
     graph = TaskGraph(grid, [advance_task()], assignment, num_ranks)
     served = set()
     for msg in graph.messages:
@@ -202,16 +211,13 @@ def test_property_no_ghost_dependency_lost(num_ranks, strategy):
 # -- per-rank plans, built once per compiled graph ------------------------------------
 
 @settings(deadline=None, max_examples=25)
-@given(
-    num_ranks=st.integers(1, 8),
-    strategy=st.sampled_from(LoadBalancer.STRATEGIES),
-)
-def test_property_per_rank_plans_match_their_definitions(num_ranks, strategy):
+@given(case=assignments())
+def test_property_per_rank_plans_match_their_definitions(case):
     """The precomputed views equal the scans they replace."""
+    num_ranks, assignment = case
     red = Task("norm", kind=TaskKind.REDUCTION, reduction_op=max)
     red.requires_(U, dw="new").computes_(NORM)
     grid = Grid(extent=(8, 8, 8), layout=(2, 2, 2))
-    assignment = LoadBalancer(strategy).assign(grid, num_ranks)
     graph = TaskGraph(grid, [advance_task(), red], assignment, num_ranks)
     owned = []
     for r in range(num_ranks):
@@ -222,6 +228,9 @@ def test_property_per_rank_plans_match_their_definitions(num_ranks, strategy):
         owned.extend(p.patch_id for p in mine)
         local = graph.local_tasks(r)
         assert graph.recvs_on(r) == [m for d in local for m in graph.recvs_for(d)]
+        # the rank's reduction waits on exactly its own patches' kernels
+        (reduce,) = [d for d in local if d.patch is None]
+        assert graph.internal_deps[reduce.dt_id] == {d.dt_id for d in local if d.patch}
     assert sorted(owned) == list(range(grid.num_patches))  # a partition
     for dt in graph.detailed_tasks:
         assert graph.dependents_of(dt) == [

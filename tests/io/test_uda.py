@@ -97,6 +97,38 @@ def test_multiple_steps_in_one_archive(tmp_path):
         arch.load(step=3)
 
 
+def test_index_write_broken_off_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    """A crash halfway through rewriting ``index.json`` must leave the
+    previous checkpoint loadable, not a truncated index."""
+    import pathlib
+
+    grid, prob, r1, dt = run_burgers(2)
+    arch = UdaArchive(tmp_path / "torn.uda")
+    arch.save(grid, r1.final_dws, 2, r1.sim_time)
+    _, _, r2, _ = run_burgers(3)
+
+    real_write = pathlib.Path.write_text
+
+    def write_half_of_the_index(self, data, *args, **kwargs):
+        if self.name.startswith("index.json"):
+            real_write(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+        return real_write(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_half_of_the_index)
+    with pytest.raises(OSError, match="No space"):
+        arch.save(grid, r2.final_dws, 3, r2.sim_time)
+    monkeypatch.undo()
+
+    ck = arch.load()
+    assert ck.step == 2 and arch.steps() == [2]
+    ref = collect(r1)
+    assert set(ck.fields["u"]) == set(ref)
+    for pid, arr in ck.fields["u"].items():
+        assert np.array_equal(arr, ref[pid])
+    assert sorted(p.name for p in arch.root.glob("*.json*")) == ["index.json"]
+
+
 def test_archive_grid_mismatch_rejected(tmp_path):
     grid, prob, res, dt = run_burgers(1)
     arch = UdaArchive(tmp_path / "a.uda")

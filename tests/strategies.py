@@ -133,7 +133,6 @@ def run_workload(
     init,
     num_ranks,
     mode,
-    balancer,
     nsteps,
     extent=(8, 8, 8),
     layout=(2, 2, 2),
@@ -143,7 +142,7 @@ def run_workload(
     grid = Grid(extent=extent, layout=layout)
     ctl = SimulationController(
         grid, tasks, init, num_ranks=num_ranks, mode=mode,
-        balancer=balancer, real=True, **controller_kwargs,
+        real=True, **controller_kwargs,
     )
     res = ctl.run(nsteps=nsteps, dt=1e-3)
     out = {}

@@ -1,11 +1,13 @@
-"""Tests for the SIMD intrinsics emulation and the flop counters."""
+"""Tests for the SIMD intrinsics emulation and the per-cell flop count."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sunway import simd
-from repro.sunway.perfcounters import FlopCounter
+from repro.burgers.flops import BURGERS_KERNEL_COST, table1_row
+from repro.core.grid import Grid
+from repro.sunway.corerates import KernelCost
 from repro.sunway.fastmath import FAST_EXP_FLOPS, IEEE_EXP_FLOPS
 
 
@@ -90,62 +92,21 @@ def test_paper_listing_d2udz2_snippet():
     assert np.allclose(v_d2udz2.lanes, expect, rtol=1e-15)
 
 
-# -- FlopCounter ----------------------------------------------------------------
-
-def test_counter_basic_accumulation():
-    c = FlopCounter()
-    c.count(adds=3, muls=2, divs=1, times=10)
-    assert c.total == 60
-    r = c.report()
-    assert (r.adds, r.muls, r.divs) == (30, 20, 10)
-
-
-def test_div_sqrt_count_as_one():
-    """SW26010 counter convention (paper Sec. VII-E)."""
-    c = FlopCounter()
-    c.count(divs=1, sqrts=1)
-    assert c.total == 2
-
+# -- flop count ------------------------------------------------------------------
 
 def test_exp_expands_to_library_flops():
-    fast = FlopCounter(fast_exp=True)
-    fast.count(exps=6)
-    assert fast.total == 6 * FAST_EXP_FLOPS
-    assert fast.report().exp_calls == 6
-
-    ieee = FlopCounter(fast_exp=False)
-    ieee.count(exps=6)
-    assert ieee.total == 6 * IEEE_EXP_FLOPS
+    """An exponential counts as the flops of the library evaluating it."""
+    exps = KernelCost(stencil_flops=0, exp_calls=6)
+    assert exps.flops_per_cell(fast_exp=True) == 6 * FAST_EXP_FLOPS
+    assert exps.flops_per_cell(fast_exp=False) == 6 * IEEE_EXP_FLOPS
+    assert BURGERS_KERNEL_COST.flops_per_cell(fast_exp=True) == 95 + 6 * FAST_EXP_FLOPS
 
 
 def test_exp_share():
-    c = FlopCounter()
-    c.count(adds=95, exps=6)
-    share = c.report().exp_share
-    assert share == pytest.approx(216 / 311, abs=0.01)
-
-
-def test_reset_and_merge():
-    a = FlopCounter()
-    a.count(adds=5)
-    b = FlopCounter()
-    b.count(muls=7, exps=1)
-    a.merge(b)
-    assert a.report().muls == 7
-    assert a.report().exp_calls == 1
-    a.reset()
-    assert a.total == 0
-
-
-def test_negative_times_rejected():
-    with pytest.raises(ValueError):
-        FlopCounter().count(adds=1, times=-1)
-
-
-def test_report_is_snapshot():
-    c = FlopCounter()
-    c.count(adds=1)
-    snap = c.report()
-    c.count(adds=1)
-    assert snap.adds == 1
-    assert c.report().adds == 2
+    """Table I's exponential share is the paper's ~215 of ~311, under
+    either exponential library."""
+    grid = Grid(extent=(32, 32, 512))
+    assert table1_row(grid)["exp_share"] == 216 / 311
+    ieee = table1_row(grid, fast_exp=False)
+    assert ieee["exp_share"] == 6 * IEEE_EXP_FLOPS / (95 + 6 * IEEE_EXP_FLOPS)
+    assert ieee["total_flops"] > table1_row(grid)["total_flops"]

@@ -42,18 +42,14 @@ def test_wire_counters_agree_with_fabric(bundle):
 
 
 def test_step_stats_partition_run_totals(bundle):
-    """Per-step deltas of the counter copies sum to each rank's totals.
-
-    ``mpi_retries`` is folded in after the last step, so it is excluded
-    (it is zero in this fault-free run anyway).
-    """
+    """Per-step deltas of the counter copies sum to each rank's totals."""
     res = bundle.result
     assert len(res.rank_step_stats) == len(res.rank_stats)
     for snaps, final in zip(res.rank_step_stats, res.rank_stats):
         assert len(snaps) == NSTEPS + 1
         assert all(v == 0 for v in snaps[0].values())  # nothing before step 1
         for field in dataclasses.fields(final):
-            if field.type != "int" or field.name == "mpi_retries":
+            if field.type != "int":
                 continue
             deltas = [snaps[s][field.name] - snaps[s - 1][field.name] for s in range(1, NSTEPS + 1)]
             assert sum(deltas) == getattr(final, field.name), field.name
@@ -232,3 +228,37 @@ def test_faulted_counters_equal_their_sources(mode):
     assert value("net.bytes") == controller.fabric.bytes_sent
     assert value("net.retransmits") == controller.fabric.mpi_retries
     assert value("dma.get.bytes") + value("dma.put.bytes") == stats.dma_bytes
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_step_stats_carry_mpi_retries(mode):
+    """Each retransmission is counted on its sender's stats when it
+    happens, so a traced run's per-step copies partition the fabric's
+    retry count rank by rank."""
+    grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
+    problem = BurgersProblem(grid)
+    controller = SimulationController(
+        grid,
+        problem.tasks(),
+        problem.init_tasks(),
+        num_ranks=4,
+        mode=mode,
+        real=False,
+        trace_enabled=True,
+        faults=FaultInjector(FaultConfig(seed=3, msg_drop_prob=0.3)),
+        resilience=ResiliencePolicy(),
+    )
+    nsteps = 4
+    res = controller.run(nsteps=nsteps, dt=problem.stable_dt())
+    retries = controller.fabric.retries_by_rank
+    assert sum(retries) > 0
+    for r, snaps in enumerate(res.rank_step_stats):
+        deltas = [
+            snaps[s]["mpi_retries"] - snaps[s - 1]["mpi_retries"]
+            for s in range(1, nsteps + 1)
+        ]
+        assert snaps[0]["mpi_retries"] == 0
+        assert sum(deltas) == res.rank_stats[r].mpi_retries == retries[r], r
+    assert res.stats.mpi_retries == controller.fabric.mpi_retries
+    ledger = build_ledger(res, None, {})
+    assert sum(s.totals["retransmits"] for s in ledger.steps) == sum(retries)
