@@ -14,7 +14,7 @@ from benchmarks.conftest import run_once
 from repro.burgers.component import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
-from repro.harness import calibration
+from repro.core.costs import SunwayCostModel
 from repro.harness.problems import problem_by_name
 from repro.harness.reportfmt import render_table, seconds
 
@@ -26,9 +26,7 @@ def perf_case(fast_exp: bool) -> float:
     ctl = SimulationController(
         grid, burgers.tasks(), burgers.init_tasks(),
         num_ranks=8, mode="async", real=False,
-        cost_model=calibration.cost_model(simd=True, fast_exp=fast_exp),
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=calibration.scheduler_kwargs(),
+        cost_model=SunwayCostModel(simd=True, fast_exp=fast_exp),
     )
     return ctl.run(nsteps=3, dt=1e-5).time_per_step
 

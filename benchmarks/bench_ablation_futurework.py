@@ -16,7 +16,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.burgers.component import BurgersProblem
 from repro.core.controller import SimulationController
-from repro.harness import calibration
+from repro.core.costs import SunwayCostModel
 from repro.harness.problems import problem_by_name
 from repro.harness.reportfmt import render_table, seconds
 
@@ -25,7 +25,7 @@ def run_case(simd=True, async_dma=False, pack_tiles=False, cpe_groups=1, cgs=8):
     problem = problem_by_name("32x64x512")
     grid = problem.grid()
     burgers = BurgersProblem(grid, with_reduction=True)
-    cm = calibration.cost_model(
+    cm = SunwayCostModel(
         simd=simd, async_dma=async_dma, cpe_groups=cpe_groups, pack_tiles=pack_tiles
     )
     ctl = SimulationController(
@@ -36,8 +36,6 @@ def run_case(simd=True, async_dma=False, pack_tiles=False, cpe_groups=1, cgs=8):
         mode="async",
         cost_model=cm,
         real=False,
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=calibration.scheduler_kwargs(),
     )
     return ctl.run(nsteps=5, dt=burgers.stable_dt()).time_per_step
 

@@ -15,7 +15,7 @@ from benchmarks.conftest import run_once
 from repro.burgers.component import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
-from repro.harness import calibration
+from repro.core.costs import SunwayCostModel
 from repro.harness.reportfmt import pct, render_table, seconds
 
 #: Patches per rank (2x2x1 blob of 32x32x512 patches).
@@ -42,9 +42,7 @@ def run_weak(num_cgs: int, nsteps: int = 5) -> float:
         num_ranks=num_cgs,
         mode="async",
         real=False,
-        cost_model=calibration.cost_model(simd=True),
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=calibration.scheduler_kwargs(),
+        cost_model=SunwayCostModel(simd=True),
     )
     return controller.run(nsteps=nsteps, dt=1e-5).time_per_step
 

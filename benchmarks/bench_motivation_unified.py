@@ -15,7 +15,7 @@ from benchmarks.conftest import run_once
 from repro.burgers.component import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.schedulers.unified import UnifiedHostScheduler
-from repro.harness import calibration
+from repro.core.costs import SunwayCostModel
 from repro.harness.problems import problem_by_name
 from repro.harness.reportfmt import render_table, seconds
 
@@ -31,9 +31,7 @@ def run_case(scheduler_factory=None, mode="async", simd=False, cgs=8, nsteps=3):
         num_ranks=cgs,
         mode=mode,
         real=False,
-        cost_model=calibration.cost_model(simd=simd),
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=calibration.scheduler_kwargs() if scheduler_factory is None else {},
+        cost_model=SunwayCostModel(simd=simd),
         scheduler_factory=scheduler_factory,
     )
     return controller.run(nsteps=nsteps, dt=1e-5).time_per_step

@@ -18,7 +18,7 @@ import sys
 from repro.burgers import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
-from repro.harness import calibration
+from repro.core.costs import SunwayCostModel
 from repro.harness.reportfmt import render_table, seconds
 
 
@@ -34,9 +34,7 @@ def main() -> None:
         mode="async",
         real=True,
         trace_enabled=True,
-        cost_model=calibration.cost_model(simd=True),
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=calibration.scheduler_kwargs(),
+        cost_model=SunwayCostModel(simd=True),
     )
     result = controller.run(nsteps=5, dt=problem.stable_dt())
 

@@ -16,7 +16,7 @@ Usage::
 from repro.burgers import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
-from repro.harness import calibration
+from repro.core.costs import SunwayCostModel
 
 
 def run(mode: str, simd: bool = False):
@@ -28,11 +28,9 @@ def run(mode: str, simd: bool = False):
         problem.init_tasks(),
         num_ranks=2,
         mode=mode,
-        cost_model=calibration.cost_model(simd=simd),
+        cost_model=SunwayCostModel(simd=simd),
         real=True,
         trace_enabled=True,
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=calibration.scheduler_kwargs(),
     )
     return controller.run(nsteps=5, dt=problem.stable_dt())
 

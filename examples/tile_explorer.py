@@ -13,14 +13,15 @@ Usage::
 
 from repro.burgers.flops import BURGERS_KERNEL_COST
 from repro.core.tiling import TilePlan, choose_tile_shape, working_set_bytes
-from repro.harness import calibration
 from repro.harness.problems import PROBLEMS
 from repro.harness.reportfmt import render_table
+from repro.sunway.corerates import CoreRates
+from repro.sunway.dma import DMAEngine
 from repro.sunway.ldm import LDM, LDMAllocationError
 
 
 def tile_report(patch_extent, candidates):
-    rates, dma = calibration.default_rates(), calibration.default_dma()
+    rates, dma = CoreRates(), DMAEngine()
     rows = []
     for shape in candidates:
         ws = working_set_bytes(shape, ghosts=1, fields_in=1, fields_out=1)

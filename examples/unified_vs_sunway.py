@@ -21,7 +21,7 @@ import functools
 from repro.burgers import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.schedulers.unified import UnifiedHostScheduler
-from repro.harness import calibration
+from repro.core.costs import SunwayCostModel
 from repro.harness.problems import problem_by_name
 from repro.harness.reportfmt import render_table, seconds
 
@@ -37,9 +37,7 @@ def run(label, scheduler_factory=None, mode="async", simd=False, cgs=8, nsteps=3
         num_ranks=cgs,
         mode=mode,
         real=False,
-        cost_model=calibration.cost_model(simd=simd),
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=calibration.scheduler_kwargs() if scheduler_factory is None else {},
+        cost_model=SunwayCostModel(simd=simd),
         scheduler_factory=scheduler_factory,
     )
     res = controller.run(nsteps=nsteps, dt=1e-5)

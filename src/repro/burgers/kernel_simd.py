@@ -27,7 +27,7 @@ from repro.core.grid import Grid
 from repro.core.tiling import TilePlan
 from repro.core.variables import CCVariable
 from repro.sunway.fastmath import ieee_exp
-from repro.sunway.ldm import LDM
+from repro.sunway.ldm import DEFAULT_LDM_BYTES, LDM
 from repro.sunway import simd
 
 
@@ -101,7 +101,7 @@ def apply_kernel_simd(
     nu: float = NU,
     exp=ieee_exp,
     tile_shape: tuple[int, int, int] = (16, 16, 8),
-    ldm_bytes: int = 64 * 1024,
+    ldm_bytes: int = DEFAULT_LDM_BYTES,
 ) -> None:
     """One forward-Euler step on a patch, tiled and vectorized."""
     if u_old.ghosts < 1:

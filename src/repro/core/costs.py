@@ -5,10 +5,11 @@ MPI operations, selecting tasks) and every kernel execution (CPE cluster
 or MPE-only) is priced here, combining the architectural cost models of
 :mod:`repro.sunway` with the tiling geometry of :mod:`repro.core.tiling`.
 
-The numbers in :class:`SchedulerCosts` and
+The numbers in :class:`SchedulerCosts`, :class:`SunwayCostModel` and
 :class:`~repro.sunway.corerates.CoreRates` are *calibrated effective*
-values (see ``repro/harness/calibration.py`` for provenance); the
-*formulas* here are structural and follow the paper's Sec. V design.
+values, defined once as field defaults (``repro/harness/calibration.py``
+records their provenance); the *formulas* here are structural and follow
+the paper's Sec. V design.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.core.grid import Grid
 from repro.core.patch import Patch
 from repro.core.task import Task
 from repro.core.tiling import TilePlan, choose_tile_shape
+from repro.sunway.athread import LAUNCH_LATENCY
 from repro.sunway.config import CoreGroupConfig
 from repro.sunway.corerates import CoreRates
 from repro.sunway.dma import DMAEngine, DMAVolume
@@ -65,13 +67,26 @@ class SunwayCostModel:
     #: memory so every DMA is a single descriptor.
     pack_tiles: bool = False
     #: athread spawn latency per offload.
-    launch_latency: float = 15e-6
+    launch_latency: float = LAUNCH_LATENCY
+
+    #: Async-mode memory-interference factors (Sec. VII-C) of the scalar
+    #: and the vectorized kernel; see :attr:`interference`.
+    _INTERFERENCE_SCALAR = 0.04
+    _INTERFERENCE_SIMD = 0.50
 
     def __post_init__(self) -> None:
         self._plan_cache: dict[tuple, TilePlan] = {}
         self._kernel_time_cache: dict[tuple, float] = {}
         self._dma_volume_cache: dict[tuple, DMAVolume] = {}
         self._mpe_part_cache: dict[tuple, float] = {}
+
+    @property
+    def interference(self) -> float:
+        """Fraction of overlapped MPE busy time a kernel pays as memory
+        interference debt: the compute-bound scalar kernel barely notices
+        the shared memory controller, the near memory-bound SIMD kernel
+        loses most of the overlap."""
+        return self._INTERFERENCE_SIMD if self.simd else self._INTERFERENCE_SCALAR
 
     # -- tiling --------------------------------------------------------------
     def tile_plan(self, task: Task, patch: Patch) -> TilePlan:

@@ -309,8 +309,6 @@ class SchedulerCore:
         mode: str = "async",
         real: bool = True,
         trace: Tracer | None = None,
-        interference_scalar: float = 0.04,
-        interference_simd: float = 0.50,
         scrub: bool = True,
         select_policy: str = "fifo",
         faults=None,
@@ -333,9 +331,6 @@ class SchedulerCore:
         #: Recovery intervals put on the timeline (watchdog aborts, MPE
         #: fallbacks, stragglers), counted whether or not tracing is on.
         self.recovery_spans = 0
-        self.interference = (
-            interference_simd if getattr(cost_model, "simd", False) else interference_scalar
-        )
         self._local_patches = graph.local_patches(rank)
         #: Cross-step sends still in flight from previous timesteps.
         self._carryover_sends: list = []

@@ -79,6 +79,8 @@ class CommEngine:
         #: ``(spec, packed slab)`` per ``(dw, label, patch)``.
         self.pending_unpacks: dict[tuple[str, str, int], list] = {}
         #: Posted receives not yet harvested: (spec, unpack cost, request).
+        #: The unified scheduler's watcher processes harvest their own
+        #: receives; it records them here only for :meth:`awaiting`.
         self.recv_watch: list[tuple[MessageSpec, float, object]] = []
         #: The fabric's per-rank count of scheduled receive completions,
         #: and this rank's entry at the last scan of :attr:`recv_watch`
@@ -144,8 +146,12 @@ class CommEngine:
         return harvested
 
     def awaiting(self) -> list[str]:
-        """The posted receives not yet harvested, for a deadlock report."""
-        return [f"recv from rank {req.source} tag {req.tag}" for _s, _c, req in self.recv_watch]
+        """The posted receives still incomplete, for a deadlock report."""
+        return [
+            f"recv from rank {req.source} tag {req.tag}"
+            for _s, _c, req in self.recv_watch
+            if not req.complete
+        ]
 
     # ------------------------------------------------------------ scrubbing
     def consume_old(self, key: tuple[str, int]) -> None:

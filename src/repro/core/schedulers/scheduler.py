@@ -78,7 +78,7 @@ class SunwayScheduler(SchedulerCore):
         )
         #: Shared-memory-controller interference debt (persists across
         #: steps; structurally idle outside async mode).
-        self.interference_model = InterferenceModel(self.interference)
+        self.interference_model = InterferenceModel(self.costs.interference)
 
     # ------------------------------------------------------------------ helpers
     def _mpe(self, label: str, cost: float, dt: DetailedTask | None = None) -> float | Timeout:

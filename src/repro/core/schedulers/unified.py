@@ -178,6 +178,7 @@ class UnifiedHostScheduler(SchedulerCore):
 
         for spec, cost in self.plan.recvs:
             req = self.comm.irecv(source=spec.from_rank, tag=st.tag_base + spec.tag)
+            comm.recv_watch.append((spec, cost, req))  # named if the step deadlocks
             sim.process(recv_watcher(spec, cost, req), name=f"recvw-r{rank}")
 
         comm.queue_startup()

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.sunway.corerates import TileWork
-from repro.sunway.ldm import LDM, LDMAllocationError
+from repro.sunway.ldm import DEFAULT_LDM_BYTES, LDM, LDMAllocationError
 
 
 def contiguous_chunks(region_extent: tuple[int, int, int], array_extent: tuple[int, int, int]) -> int:
@@ -64,7 +64,7 @@ def working_set_bytes(
 
 def choose_tile_shape(
     patch_extent: tuple[int, int, int],
-    ldm_bytes: int = 64 * 1024,
+    ldm_bytes: int = DEFAULT_LDM_BYTES,
     ghosts: int = 1,
     fields_in: int = 1,
     fields_out: int = 1,
@@ -245,7 +245,7 @@ class TilePlan:
             self.tile_shape, self.ghosts, self.fields_in, self.fields_out, self.itemsize
         )
 
-    def validate_against_ldm(self, ldm_bytes: int = 64 * 1024) -> None:
+    def validate_against_ldm(self, ldm_bytes: int = DEFAULT_LDM_BYTES) -> None:
         """Raise :class:`LDMAllocationError` if the working set overflows."""
         ldm = LDM(ldm_bytes)
         ldm.alloc("working-set", self.ldm_working_set())

@@ -1,31 +1,32 @@
-"""Calibrated cost-model constants and their provenance.
+"""Provenance of the calibrated cost-model constants.
 
 The reproduction does not run on Sunway hardware; every effective rate
-below is calibrated against numbers the paper itself reports, so the
-simulated evaluation reproduces the paper's *shapes* (who wins, by what
-rough factor, where crossovers fall), not its absolute seconds.
+is calibrated against numbers the paper itself reports, so the simulated
+evaluation reproduces the paper's *shapes* (who wins, by what rough
+factor, where crossovers fall), not its absolute seconds.  Each number
+is defined once, as the default of the model field that uses it, so a
+default-built model *is* the calibrated one; this module only records
+where each default comes from.
 
-Provenance of each constant:
-
-``CPE_SCALAR_FLOPS`` (70 Mflop/s per CPE)
+``CoreRates.cpe_scalar_flops``
     Sec. VII-E: the best configuration reaches 1.17% of peak; the SIMD
     kernel at ~2.2x over scalar then implies a scalar cluster rate of
     ~4.5 Gflop/s per CG = 70 Mflop/s per CPE (0.6% of a CPE's 11.6
     Gflop/s peak — scalar, cacheless, software exponentials).
 
-``SIMD_STENCIL_SPEEDUP`` / ``SIMD_EXP_SPEEDUP`` (3.6 / 2.0)
+``CoreRates.simd_stencil_speedup`` / ``CoreRates.simd_exp_speedup``
     The 4-wide SIMD pipelines speed the stencil arithmetic close to
     ideal, but the software exponentials vectorize poorly; blended over
     the 95/216 flop split this yields the compute-only ~2.3x that,
     after DMA and per-task overheads, lands in the paper's observed
     1.3-2.2x (Sec. VII-D).
 
-``MPE_FLOPS_CACHED`` / ``MPE_FLOPS_STREAMING`` (1.05 / 0.62 Gflop/s)
+``CoreRates.mpe_flops_cached`` / ``CoreRates.mpe_flops_streaming``
     Chosen so the host.sync -> acc offload boost spans the paper's
     2.7-6.0x across patch sizes (Sec. VII-D): small patches keep the
     3-plane stencil working set in the MPE's L2 and run faster.
 
-``MPE_PACK_S_PER_CELL`` (200 ns) / ``MPE_LOCAL_COPY_S_PER_CELL`` (70 ns)
+``CoreRates.mpe_pack_s_per_cell`` / ``CoreRates.mpe_local_copy_s_per_cell``
     Back-computed from Tables V-VII: per-patch MPE-side ghost handling
     must be ~20% of the scalar kernel time (fully serial in sync mode,
     hidden in async mode) to reproduce both the async improvement
@@ -33,7 +34,7 @@ Provenance of each constant:
     (31.7%..97.7%).  Uintah data-warehouse operations per ghost cell
     are genuinely heavyweight on the slow MPE.
 
-``INTERFERENCE_SCALAR`` / ``INTERFERENCE_SIMD`` (0.04 / 0.50)
+``SunwayCostModel.interference``
     MPE bulk traffic overlapped under the async scheduler contends with
     CPE DMA on the shared memory controller.  The scalar kernel is
     compute-bound and barely notices; the vectorized kernel is close to
@@ -41,98 +42,41 @@ Provenance of each constant:
     the paper's "smaller improvements ... with the vectorized kernel"
     (best 39.3% non-vectorized vs 22.8% vectorized).
 
-``DMA_*``
+``DMAEngine.bandwidth`` / ``DMAEngine.startup`` / ``DMAEngine.chunk_penalty``
     SW26010 aggregate per-CG DMA bandwidth is ~28 GB/s for packed
     transfers; strided tile rows pay per-descriptor costs (the paper's
     "pack the tiles" future work).
 
-``FABRIC_*``
+``FabricConfig.bandwidth`` / ``FabricConfig.latency`` / ``FabricConfig.sw_overhead``
     Table II: 16 GB/s bidirectional P2P, ~1 us latency, plus an MPI
     software overhead per message typical of Sunway's MPI.
+
+``SunwayCostModel.launch_latency``
+    The athread spawn latency per offload
+    (:data:`repro.sunway.athread.LAUNCH_LATENCY`).
 """
 
 from __future__ import annotations
 
-from repro.core.costs import SchedulerCosts, SunwayCostModel
+from repro.core.costs import SunwayCostModel
 from repro.simmpi.network import FabricConfig
-from repro.sunway.config import CoreGroupConfig
-from repro.sunway.corerates import CoreRates
-from repro.sunway.dma import DMAEngine
 
-# -- CPE cluster -----------------------------------------------------------------
-CPE_SCALAR_FLOPS = 70e6
-SIMD_STENCIL_SPEEDUP = 3.6
-SIMD_EXP_SPEEDUP = 2.0
-
-# -- MPE ---------------------------------------------------------------------------
-MPE_FLOPS_CACHED = 1.05e9
-MPE_FLOPS_STREAMING = 0.62e9
-MPE_PACK_S_PER_CELL = 200e-9
-MPE_LOCAL_COPY_S_PER_CELL = 70e-9
-
-# -- async-mode memory interference --------------------------------------------------
-INTERFERENCE_SCALAR = 0.04
-INTERFERENCE_SIMD = 0.50
-
-# -- DMA -----------------------------------------------------------------------------
-DMA_PER_CPE_BANDWIDTH = 28e9 / 64
-DMA_STARTUP = 1.2e-6
-DMA_CHUNK_PENALTY = 0.25
-
-# -- network --------------------------------------------------------------------------
-FABRIC = FabricConfig(bandwidth=16e9, latency=1e-6, sw_overhead=6e-6)
-
-# -- offload ---------------------------------------------------------------------------
-LAUNCH_LATENCY = 15e-6
+#: The calibrated fabric, which is the default one.  Kept as a name
+#: because the perfbench workloads read it.
+FABRIC = FabricConfig()
 
 
-def default_rates() -> CoreRates:
-    """The calibrated :class:`~repro.sunway.corerates.CoreRates`."""
-    return CoreRates(
-        cpe_scalar_flops=CPE_SCALAR_FLOPS,
-        simd_stencil_speedup=SIMD_STENCIL_SPEEDUP,
-        simd_exp_speedup=SIMD_EXP_SPEEDUP,
-        mpe_flops_cached=MPE_FLOPS_CACHED,
-        mpe_flops_streaming=MPE_FLOPS_STREAMING,
-        mpe_pack_s_per_cell=MPE_PACK_S_PER_CELL,
-        mpe_local_copy_s_per_cell=MPE_LOCAL_COPY_S_PER_CELL,
-    )
+def cost_model(**axes) -> SunwayCostModel:
+    """``SunwayCostModel(**axes)``: the defaults are the calibrated values.
 
-
-def default_dma() -> DMAEngine:
-    """The calibrated DMA engine."""
-    return DMAEngine(
-        bandwidth=DMA_PER_CPE_BANDWIDTH,
-        startup=DMA_STARTUP,
-        chunk_penalty=DMA_CHUNK_PENALTY,
-    )
-
-
-def cost_model(
-    simd: bool = False,
-    fast_exp: bool = True,
-    async_dma: bool = False,
-    cpe_groups: int = 1,
-    pack_tiles: bool = False,
-) -> SunwayCostModel:
-    """A fully calibrated cost model for one experimental variant."""
-    return SunwayCostModel(
-        rates=default_rates(),
-        dma=default_dma(),
-        sched=SchedulerCosts(),
-        core_group=CoreGroupConfig(),
-        simd=simd,
-        fast_exp=fast_exp,
-        async_dma=async_dma,
-        cpe_groups=cpe_groups,
-        pack_tiles=pack_tiles,
-        launch_latency=LAUNCH_LATENCY,
-    )
+    Kept because the perfbench workloads build their cost model here;
+    new code builds :class:`~repro.core.costs.SunwayCostModel` directly.
+    """
+    return SunwayCostModel(**axes)
 
 
 def scheduler_kwargs() -> dict:
-    """Interference constants handed to the scheduler."""
-    return {
-        "interference_scalar": INTERFERENCE_SCALAR,
-        "interference_simd": INTERFERENCE_SIMD,
-    }
+    """An empty dict: the scheduler takes its interference factor from
+    the cost model (:attr:`SunwayCostModel.interference`).  Kept because
+    the perfbench workloads extend it with their selection policy."""
+    return {}

@@ -18,7 +18,6 @@ import dataclasses
 
 from repro.burgers.component import BurgersProblem
 from repro.core.controller import SimulationController, RunResult
-from repro.harness import calibration
 from repro.harness.problems import ProblemSetting, USABLE_BYTES_PER_CG
 from repro.harness.variants import Variant
 from repro.sunway.config import CoreGroupConfig
@@ -82,8 +81,6 @@ def _run_case(problem, variant, num_cgs, nsteps, **controller_kwargs):
             f"problem {problem.name} needs at least {problem.min_cgs} CGs "
             f"(memory), got {num_cgs}"
         )
-    sched_kwargs = calibration.scheduler_kwargs()
-    sched_kwargs["select_policy"] = variant.select_policy
     grid = problem.grid()
     burgers = BurgersProblem(grid, fast_exp=True)
     controller = SimulationController(
@@ -94,8 +91,7 @@ def _run_case(problem, variant, num_cgs, nsteps, **controller_kwargs):
         mode=variant.mode,
         cost_model=variant.cost_model(),
         real=False,
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=sched_kwargs,
+        scheduler_kwargs={"select_policy": variant.select_policy},
         memory_limit_bytes=USABLE_BYTES_PER_CG,
         **controller_kwargs,
     )

@@ -14,9 +14,10 @@ for a fault: extra *delay*, a per-rank *brownout* slow-down window,
 *duplication* (the wire carries the payload twice; the transport filters
 the copy but pays its bytes), or a *drop*.  Dropped messages are
 retransmitted by the reliable transport with exponential backoff plus
-jitter (:class:`~repro.faults.policies.ResiliencePolicy` parameters, or
-built-in defaults) until they get through — MPI semantics are preserved,
-only completion times and the retry counters change.  Matching order is
+jitter (the parameters of the attached
+:class:`~repro.faults.policies.ResiliencePolicy`, or of a default one)
+until they get through — MPI semantics are preserved, only completion
+times and the retry counters change.  Matching order is
 decided at post time, so faults never mis-deliver a payload.
 """
 
@@ -84,12 +85,6 @@ class Fabric:
     match pops the oldest waiting counterpart and deletes an emptied key,
     so the fabric holds O(operations in flight), not O(messages sent).
     """
-
-    #: Fallback retransmission parameters when faults are injected but no
-    #: ResiliencePolicy is attached.
-    _DEFAULT_BACKOFF = 100e-6
-    _DEFAULT_JITTER = 0.25
-    _DEFAULT_MAX_RETRIES = 5
 
     def __init__(
         self,
@@ -242,21 +237,24 @@ class Fabric:
         link-level reliable channel underneath lossy injection.
         """
         pol = self.policy
-        backoff_base = pol.mpi_backoff_base if pol else self._DEFAULT_BACKOFF
-        jitter_frac = pol.mpi_backoff_jitter if pol else self._DEFAULT_JITTER
-        max_retries = pol.mpi_max_retries if pol else self._DEFAULT_MAX_RETRIES
+        if pol is None:
+            # imported here: repro.faults imports the harness, which
+            # imports this module
+            from repro.faults.policies import ResiliencePolicy
+
+            pol = ResiliencePolicy()
         site = f"{send_req.source}->{send_req.dest}:{send_req.nbytes}B"
         attempt = 0
         while True:
             attempt += 1
-            rto = backoff_base * (2.0 ** (attempt - 1))
-            rto *= 1.0 + jitter_frac * self.faults.jitter()
+            rto = pol.mpi_backoff_base * (2.0 ** (attempt - 1))
+            rto *= 1.0 + pol.mpi_backoff_jitter * self.faults.jitter()
             yield wire_cost + rto
             self.retries_by_rank[send_req.source] += 1
             if self.rank_stats is not None:
                 self.rank_stats[send_req.source].mpi_retries += 1
             self.bytes_sent += send_req.nbytes
-            if attempt >= max_retries or not self.faults.redrop(self.sim.now, site):
+            if attempt >= pol.mpi_max_retries or not self.faults.redrop(self.sim.now, site):
                 break
             self.messages_dropped += 1
         self._deliver(send_req, payload, recv_req, wire_cost)

@@ -5,7 +5,9 @@ paper ran on Sunway TaihuLight; everything architecture-specific the
 scheduler depends on is modelled here explicitly:
 
 * :mod:`~repro.sunway.config` — machine parameters (Table II of the paper):
-  core-group topology (1 MPE + 64 CPEs), peak rates, memory, interconnect.
+  core-group topology (1 MPE + 64 CPEs), peak rates, memory.  The
+  interconnect's cost parameters are
+  :class:`~repro.simmpi.network.FabricConfig`'s.
 * :mod:`~repro.sunway.ldm` — the 64 KB per-CPE Local Data Memory as a real
   capacity-checked allocator.
 * :mod:`~repro.sunway.dma` — DMA transfer cost model (``athread_get`` /
@@ -29,7 +31,6 @@ scheduler depends on is modelled here explicitly:
 from repro.sunway.config import (
     SunwayMachine,
     CoreGroupConfig,
-    InterconnectConfig,
     SW26010,
 )
 from repro.sunway.ldm import LDM, LDMAllocationError
@@ -40,7 +41,6 @@ from repro.sunway.corerates import KernelCost, CoreRates
 __all__ = [
     "SunwayMachine",
     "CoreGroupConfig",
-    "InterconnectConfig",
     "SW26010",
     "LDM",
     "LDMAllocationError",

@@ -27,6 +27,10 @@ from repro.des import Simulator
 from repro.des.event import Event
 from repro.sunway.config import CoreGroupConfig
 
+#: Seconds from ``spawn`` until the CPEs begin executing (the calibrated
+#: default of :attr:`repro.core.costs.SunwayCostModel.launch_latency`).
+LAUNCH_LATENCY = 15e-6
+
 
 class CompletionFlag:
     """An atomically-updated counter in main memory.
@@ -129,7 +133,7 @@ class AthreadRuntime:
         self,
         sim: Simulator,
         config: CoreGroupConfig | None = None,
-        launch_latency: float = 15e-6,
+        launch_latency: float = LAUNCH_LATENCY,
         num_groups: int = 1,
     ):
         self.sim = sim

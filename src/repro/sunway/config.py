@@ -2,9 +2,13 @@
 
 Numbers come from the paper (Table II, Sec. IV) and the cited Dongarra
 report.  They are frozen dataclasses so experiment configurations are
-hashable and comparable; the effective (achievable) rates used by the cost
-model live separately in :mod:`repro.harness.calibration` — this module
-holds only *architectural* facts.
+hashable and comparable.  This module holds only *architectural* facts;
+the effective (achievable) rates the cost model charges are the defaults
+of :class:`~repro.sunway.corerates.CoreRates`,
+:class:`~repro.sunway.dma.DMAEngine`,
+:class:`~repro.simmpi.network.FabricConfig` and
+:class:`~repro.core.costs.SunwayCostModel` (provenance in
+:mod:`repro.harness.calibration`).
 """
 
 from __future__ import annotations
@@ -44,16 +48,6 @@ class CoreGroupConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class InterconnectConfig:
-    """The Sunway proprietary network, per Table II of the paper."""
-
-    #: Bidirectional point-to-point bandwidth, bytes/s (16 GB/s).
-    p2p_bandwidth: float = 16e9
-    #: Point-to-point latency, seconds ("around 1 us").
-    latency: float = 1e-6
-
-
-@dataclasses.dataclass(frozen=True)
 class SunwayMachine:
     """A Sunway TaihuLight partition: ``num_cgs`` core-groups on the fabric.
 
@@ -63,7 +57,6 @@ class SunwayMachine:
 
     num_cgs: int = 128
     core_group: CoreGroupConfig = dataclasses.field(default_factory=CoreGroupConfig)
-    interconnect: InterconnectConfig = dataclasses.field(default_factory=InterconnectConfig)
 
     def __post_init__(self) -> None:
         if self.num_cgs < 1:

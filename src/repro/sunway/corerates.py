@@ -19,9 +19,9 @@ the mechanisms the paper's evaluation hinges on:
   from 2.7x (small patches, cache-friendly MPE baseline) to 6.0x (large
   patches, cache-hostile baseline).
 
-Calibrated default *rates* live in :mod:`repro.harness.calibration`; this
-module defines the formulas and the vocabulary
-(:class:`KernelCost`, :class:`CoreRates`, :class:`TileWork`).
+This module defines the formulas and the vocabulary (:class:`KernelCost`,
+:class:`CoreRates`, :class:`TileWork`); the defaults of :class:`CoreRates`
+are the calibrated rates (provenance in :mod:`repro.harness.calibration`).
 """
 
 from __future__ import annotations

@@ -95,8 +95,8 @@ class DMAEngine:
         Effective per-CPE DMA bandwidth in bytes/s with all CPEs
         streaming.  SW26010's aggregate measured DMA bandwidth is about
         28 GB/s per CG; divided over 64 concurrently-active CPEs this is
-        ~0.44 GB/s per CPE (the calibrated default lives in
-        ``repro.harness.calibration``).
+        ~0.44 GB/s per CPE.  The defaults are the calibrated values
+        (provenance in ``repro.harness.calibration``).
     startup:
         Fixed per-DMA-descriptor latency, seconds.
     chunk_penalty:

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.sunway.config import SW26010
 
-#: SW26010 scratchpad size: the budget every tile plan is checked
-#: against (also the default :class:`LDM` capacity, and the ceiling the
-#: schedule validator enforces on offloaded kernels).
-DEFAULT_LDM_BYTES = 64 * 1024
+#: SW26010 scratchpad size (:attr:`CoreGroupConfig.ldm_bytes`): the
+#: budget every tile plan is checked against (also the default
+#: :class:`LDM` capacity, and the ceiling the schedule validator
+#: enforces on offloaded kernels).
+DEFAULT_LDM_BYTES = SW26010.ldm_bytes
 
 
 class LDMAllocationError(MemoryError):

@@ -100,14 +100,13 @@ def test_energy_reduction_decreases():
 
 def test_heat_on_harness_cost_model():
     """The component runs in pure performance-model mode too."""
-    from repro.harness import calibration
+    from repro.core.costs import SunwayCostModel
 
     grid = Grid(extent=(256, 256, 1024), layout=(8, 8, 2))
     prob = HeatProblem(grid)
     ctl = SimulationController(
         grid, prob.tasks(), prob.init_tasks(), num_ranks=16, mode="async",
-        real=False, cost_model=calibration.cost_model(simd=True),
-        fabric_config=calibration.FABRIC,
+        real=False, cost_model=SunwayCostModel(simd=True),
     )
     res = ctl.run(nsteps=3, dt=prob.stable_dt())
     assert res.time_per_step > 0

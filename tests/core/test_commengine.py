@@ -17,7 +17,6 @@ from repro.core.schedulers.commengine import CommEngine
 from repro.core.taskgraph import CopySpec
 from repro.core.variables import CCVariable
 from repro.des import Simulator
-from repro.harness import calibration
 from repro.simmpi import Comm, Fabric
 from tests.strategies import build_pipeline, run_workload
 
@@ -111,8 +110,6 @@ def test_harvest_matches_a_full_rescan_in_a_model_run(monkeypatch):
         num_ranks=4,
         mode="async",
         real=False,
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=calibration.scheduler_kwargs(),
     )
     res = ctl.run(nsteps=3, dt=prob.stable_dt())
     assert calls["posted"] > 0

@@ -8,6 +8,7 @@ errors instead of hangs.
 
 import collections
 import functools
+import itertools
 import json
 import pathlib
 import re
@@ -22,10 +23,10 @@ from repro.core.costs import SunwayCostModel
 from repro.core.grid import Grid
 from repro.core.schedulers import SunwayScheduler
 from repro.core.schedulers.base import DeadlockError
+from repro.core.schedulers.unified import UnifiedHostScheduler
 from repro.core.task import Task, TaskKind
 from repro.core.taskgraph import TaskGraph
 from repro.core.varlabel import VarLabel
-from repro.harness import calibration
 from repro.harness.problems import problem_by_name
 from repro.sunway.corerates import KernelCost
 
@@ -513,27 +514,28 @@ def _message_never_sent(graph):
 def test_deadlock_detected_not_hung():
     """A corrupted timestep or initialization graph raises DeadlockError
     naming the phase the rank stopped in, whichever layer notices, and
-    the receive it still awaits."""
+    the receive it still awaits -- under either scheduler family."""
     grid = Grid(extent=(8, 8, 8), layout=(1, 1, 1))
     prob = BurgersProblem(grid, with_reduction=False)
-    for sabotage in (_impossible_blocker, _message_never_sent):
-        for graph_attr, step, where in (
-            ("graph", 1, "step 1"),
-            ("init_graph", 0, "initialization"),
-        ):
-            ctl = SimulationController(
-                grid, prob.tasks(), prob.init_tasks(), num_ranks=1, mode="async", real=True
-            )
-            graph = getattr(ctl, graph_attr)
-            sabotage(graph)
-            with pytest.raises(DeadlockError) as info:
-                ctl.run(nsteps=1, dt=1e-4)
-            msg = str(info.value)
-            assert f"rank 0 {where}:" in msg, (sabotage.__name__, graph_attr)
-            if sabotage is _message_never_sent:
-                # the posted tag is the step's tag base plus the spec's tag
-                tag = step * graph.num_tags + PHANTOM_TAG
-                assert f"awaiting recv from rank 0 tag {tag})" in msg, msg
+    for factory, sabotage, (graph_attr, step, where) in itertools.product(
+        (None, UnifiedHostScheduler),
+        (_impossible_blocker, _message_never_sent),
+        (("graph", 1, "step 1"), ("init_graph", 0, "initialization")),
+    ):
+        ctl = SimulationController(
+            grid, prob.tasks(), prob.init_tasks(), num_ranks=1, mode="async", real=True,
+            scheduler_factory=factory,
+        )
+        graph = getattr(ctl, graph_attr)
+        sabotage(graph)
+        with pytest.raises(DeadlockError) as info:
+            ctl.run(nsteps=1, dt=1e-4)
+        msg = str(info.value)
+        assert f"rank 0 {where}:" in msg, (factory, sabotage.__name__, graph_attr, msg)
+        if sabotage is _message_never_sent:
+            # the posted tag is the step's tag base plus the spec's tag
+            tag = step * graph.num_tags + PHANTOM_TAG
+            assert f"awaiting recv from rank 0 tag {tag})" in msg, msg
 
 
 @pytest.mark.parametrize("mode", ["async", "sync"])
@@ -611,8 +613,5 @@ def test_model_mode_reproduces_recorded_overhead_baseline():
     res = SimulationController(
         grid, burgers.tasks(), burgers.init_tasks(),
         num_ranks=8, mode="async", real=False,
-        cost_model=calibration.cost_model(),
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=calibration.scheduler_kwargs(),
     ).run(nsteps=baseline["nsteps"], dt=1e-5)
     assert res.total_time == baseline["simulated_seconds"]

@@ -9,7 +9,6 @@ from repro.burgers import BurgersProblem
 from repro.core.controller import SimulationController
 from repro.core.grid import Grid
 from repro.core.schedulers.unified import UnifiedHostScheduler
-from repro.harness import calibration
 from repro.harness.problems import problem_by_name
 from repro.telemetry.analyzer import categorize
 
@@ -100,17 +99,12 @@ def test_paper_motivation_sunway_async_beats_unified_single_thread():
 
     unified = SimulationController(
         grid, prob.tasks(), prob.init_tasks(), num_ranks=8, real=False,
-        cost_model=calibration.cost_model(),
-        fabric_config=calibration.FABRIC,
         scheduler_factory=functools.partial(UnifiedHostScheduler, num_threads=1),
     ).run(nsteps=2, dt=1e-5)
 
     sunway = SimulationController(
         grid, prob.tasks(), prob.init_tasks(), num_ranks=8, real=False,
         mode="async",
-        cost_model=calibration.cost_model(),
-        fabric_config=calibration.FABRIC,
-        scheduler_kwargs=calibration.scheduler_kwargs(),
     ).run(nsteps=2, dt=1e-5)
 
     boost = unified.time_per_step / sunway.time_per_step

@@ -44,12 +44,6 @@ def test_machine_rejects_zero_cgs():
         SunwayMachine(num_cgs=0)
 
 
-def test_interconnect_defaults():
-    m = SunwayMachine()
-    assert m.interconnect.p2p_bandwidth == pytest.approx(16e9)
-    assert m.interconnect.latency == pytest.approx(1e-6)
-
-
 def test_config_is_hashable_and_frozen():
     cfg = CoreGroupConfig()
     assert hash(cfg) == hash(CoreGroupConfig())

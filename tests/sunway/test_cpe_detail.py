@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.burgers.flops import BURGERS_KERNEL_COST
 from repro.core.tiling import TilePlan
-from repro.harness import calibration
 from repro.sunway.corerates import CoreRates, KernelCost, TileWork
 from repro.sunway.dma import DMAEngine
 from tests.sunway.cpe_detail import simulate_cluster
@@ -24,7 +23,7 @@ def paper_plan(pe=(32, 32, 512)):
 @pytest.mark.parametrize("pe", [(16, 16, 512), (32, 64, 512), (128, 128, 512)])
 def test_event_level_matches_analytic(pe, simd):
     """The analytic cluster time equals the event-level simulation."""
-    rates, dma = calibration.default_rates(), calibration.default_dma()
+    rates, dma = CoreRates(), DMAEngine()
     per_cpe = paper_plan(pe).per_cpe_work()
     analytic = rates.cluster_kernel_time(per_cpe, BURGERS_KERNEL_COST, dma, simd=simd)
     simulated = simulate_cluster(per_cpe, BURGERS_KERNEL_COST, rates, dma, simd=simd)
@@ -33,7 +32,7 @@ def test_event_level_matches_analytic(pe, simd):
 
 def test_paper_partition_is_perfectly_balanced():
     """512/8 z-slabs over 64 CPEs: every CPE equally busy."""
-    rates, dma = calibration.default_rates(), calibration.default_dma()
+    rates, dma = CoreRates(), DMAEngine()
     res = simulate_cluster(paper_plan().per_cpe_work(), BURGERS_KERNEL_COST, rates, dma)
     assert res.imbalance == pytest.approx(1.0, rel=1e-12)
     assert all(n == res.tiles_done[0] for n in res.tiles_done)
@@ -42,7 +41,7 @@ def test_paper_partition_is_perfectly_balanced():
 def test_unbalanced_assignment_and_work_stealing():
     """With fewer z-slabs than CPEs, most CPEs idle (the paper's noted
     imbalance); work stealing is the future-work remedy."""
-    rates, dma = calibration.default_rates(), calibration.default_dma()
+    rates, dma = CoreRates(), DMAEngine()
     plan = TilePlan(patch_extent=(64, 64, 64), tile_shape=(16, 16, 8), ghosts=1)
     static = simulate_cluster(plan.per_cpe_work(), BURGERS_KERNEL_COST, rates, dma)
     stolen = simulate_cluster(
@@ -58,7 +57,7 @@ def test_unbalanced_assignment_and_work_stealing():
 
 
 def test_async_dma_faster_at_event_level():
-    rates, dma = calibration.default_rates(), calibration.default_dma()
+    rates, dma = CoreRates(), DMAEngine()
     per_cpe = paper_plan().per_cpe_work()
     sync = simulate_cluster(per_cpe, BURGERS_KERNEL_COST, rates, dma)
     asyn = simulate_cluster(per_cpe, BURGERS_KERNEL_COST, rates, dma, async_dma=True)
@@ -66,13 +65,13 @@ def test_async_dma_faster_at_event_level():
 
 
 def test_empty_cluster():
-    rates, dma = calibration.default_rates(), calibration.default_dma()
+    rates, dma = CoreRates(), DMAEngine()
     res = simulate_cluster([], BURGERS_KERNEL_COST, rates, dma)
     assert res.duration == 0.0 and res.cpe_busy == []
 
 
 def test_total_tiles_conserved_under_stealing():
-    rates, dma = calibration.default_rates(), calibration.default_dma()
+    rates, dma = CoreRates(), DMAEngine()
     per_cpe = paper_plan((32, 32, 512)).per_cpe_work()
     total = sum(len(t) for t in per_cpe)
     res = simulate_cluster(
